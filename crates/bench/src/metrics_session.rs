@@ -87,6 +87,7 @@ pub fn metrics_session(trials: u32) -> Report {
     // (flushed at outermost exit on each worker thread) are included.
     let mut report = Report::capture()
         .with_meta("curve", "TOY")
+        .with_meta("op_profile", dlr::OP_PROFILE)
         .with_meta("trials", &trials.to_string());
     report.push_wire("driver.decrypt", wire_decrypt);
     report.push_wire("driver.refresh", out.wire);

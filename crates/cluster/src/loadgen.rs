@@ -193,6 +193,7 @@ impl FleetLoadgenOutcome {
     pub fn to_report(&self, topology: &TopologyMsg) -> Report {
         let mut report = Report::capture()
             .with_meta("component", "dlr-loadgen")
+            .with_meta("op_profile", dlr_core::dlr::OP_PROFILE)
             .with_meta("clients", &self.clients.to_string())
             .with_meta("requests", &self.requests.to_string())
             .with_meta("successes", &self.successes.to_string())

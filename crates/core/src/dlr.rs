@@ -33,15 +33,31 @@ use rand::RngCore;
 /// How `P1` produces the HPSKE ciphertexts of each time period.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommMode {
-    /// §5.2 remark: compute `f_i = Enc'(a_i)` over `G` first, derive the
-    /// decryption-protocol `d_i` by pairing the same ciphertexts with `A`,
-    /// and reuse one `sk_comm` for the whole period. Paper-faithful.
+    /// §5.2 remark, paper-faithful: one `sk_comm` and one set of
+    /// ciphertexts `f_i = Enc'(a_i)` over `G` per period. `f` is built at
+    /// the first `dec_start` or `ref_start` of a period and kept until
+    /// [`Party1::ref_complete`]; every decryption derives its `d_i` by
+    /// pairing the same `f_i` with that ciphertext's `A`, and the refresh
+    /// sends the same `f`. A decryption after the first of its period does
+    /// `ℓ(κ+1)+1` pairings and no `G` operation at all.
+    ///
+    /// What the wire shows as a consequence: two `DecMsg1` for the *same*
+    /// ciphertext in one period carry byte-identical `d` (a deterministic
+    /// function of the period's `f` and `A`); `d_Φ` and `d_B` are fresh
+    /// encryptions every time.
     #[default]
     Reuse,
-    /// Independent fresh ciphertexts for decryption and refresh (ablation
-    /// baseline; `bench_a1_reuse` compares the two).
+    /// Independent fresh key and ciphertexts for every decryption and
+    /// every refresh (ablation baseline; `bench a1_reuse` compares the two).
     Fresh,
 }
+
+/// Label of the operation-count profile this build's `P1` produces, stamped
+/// into metrics reports as `meta.op_profile` so `tools/bench-compare.sh`
+/// can tell a *declared* op-count change from drift. `period-f`: `f` is
+/// built once per period ([`CommMode::Reuse`] above); reports without the
+/// stamp predate it and re-encrypted `f` on every decryption.
+pub const OP_PROFILE: &str = "period-f";
 
 /// DLR public key.
 #[derive(Debug, PartialEq, Eq)]
@@ -309,22 +325,27 @@ impl_msg_codec!(RefMsg2, G2, {}, { f });
 // Party 1 (main device)
 // ---------------------------------------------------------------------------
 
-/// Device `P1`: holds `sk_1` (and, per period, the HPSKE key `sk_comm` and
-/// its protocol randomness).
+/// Device `P1`: holds `sk_1` (and, per period, the HPSKE key `sk_comm`,
+/// the ciphertexts `f` under it, and its protocol randomness).
 pub struct Party1<E: Pairing> {
     pk: PublicKey<E>,
     share: Share1<E>,
     device: Device,
     mode: CommMode,
     skcomm: Option<HpskeKey<E::Scalar>>,
-    cached_f: Option<Vec<HpskeCiphertext<E::G2>>>,
+    /// [`CommMode::Reuse`] only: this period's `f = (Enc'(a_1), …,
+    /// Enc'(a_ℓ))` under `skcomm`, normalized for the pairing evaluation
+    /// slot. Built by the first `dec_start`/`ref_start` of the period,
+    /// dropped by [`Self::ref_complete`] and by nothing else — a refresh
+    /// that is started and never finished must resend the same `f`.
+    period_f: Option<Vec<HpskeCiphertext<E::G2>>>,
     pending_a_prime: Option<Vec<E::G2>>,
     next_share: Option<Share1<E>>,
-    /// Prepared Miller chains for `[a_1, …, a_ℓ, Φ]` — the fixed per-key
-    /// second-slot pairing arguments of this period. Built at most once
-    /// (warm at key load via [`Self::warm`], or lazily on the first
-    /// `Fresh`-mode decrypt) and replaced wholesale when the share rolls
-    /// over in [`Self::ref_complete`].
+    /// [`CommMode::Fresh`] only: prepared Miller chains for
+    /// `[a_1, …, a_ℓ, Φ]`, the fixed second-slot pairing arguments of this
+    /// period. Built at most once ([`Self::warm`], or lazily on the first
+    /// decrypt) and replaced wholesale when the share rolls over in
+    /// [`Self::ref_complete`].
     prep_share: LazyPreparedBatch<E>,
 }
 
@@ -355,7 +376,7 @@ impl<E: Pairing> Party1<E> {
             device,
             mode,
             skcomm: None,
-            cached_f: None,
+            period_f: None,
             pending_a_prime: None,
             next_share: None,
             prep_share: LazyPreparedBatch::new(),
@@ -374,13 +395,22 @@ impl<E: Pairing> Party1<E> {
         self.prep_share.get(&[])
     }
 
-    /// Build the per-key pairing caches eagerly (the prepared share chains
-    /// consumed by [`CommMode::Fresh`] decryption) so the steady-state
-    /// `dec_start` pays zero Miller-chain precomputation. Idempotent, and
-    /// bumps no operation counter; call at key load and again after
-    /// [`Self::ref_complete`] rolls the share over.
+    /// Build eagerly whatever per-period state needs no randomness, so the
+    /// request clock never pays for it. Idempotent, bumps no operation
+    /// counter; call at key load and again after [`Self::ref_complete`].
+    ///
+    /// * [`CommMode::Fresh`]: the prepared share chains every decrypt
+    ///   evaluates against.
+    /// * [`CommMode::Reuse`]: nothing — the period's only precomputation
+    ///   is `f`, which consumes `ℓ·κ` random group elements and is
+    ///   therefore built by the first `dec_start`/`ref_start` of the
+    ///   period, with that call's `rng`. That first call costs `ℓ`
+    ///   `Enc'` over `G` (`ℓ·κ` samples, `ℓ` κ-term multiexps) more than
+    ///   the ones after it.
     pub fn warm(&self) {
-        let _ = self.share_preps();
+        if self.mode == CommMode::Fresh {
+            let _ = self.share_preps();
+        }
     }
 
     /// The public key.
@@ -406,8 +436,10 @@ impl<E: Pairing> Party1<E> {
         &mut self.device
     }
 
-    /// Obtain (generating if needed) this period's `sk_comm`.
-    fn period_skcomm<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> HpskeKey<E::Scalar> {
+    /// Make sure this period's `sk_comm` exists (`Fresh`: replace it).
+    /// Callers borrow it from `self.skcomm` afterwards; the key is never
+    /// copied.
+    fn ensure_skcomm<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
         if self.skcomm.is_none() || self.mode == CommMode::Fresh {
             let key = HpskeKey::generate(self.pk.params.kappa, rng);
             self.device
@@ -415,7 +447,25 @@ impl<E: Pairing> Party1<E> {
                 .store("rand.skcomm", scalars_to_cell(&key.sigma));
             self.skcomm = Some(key);
         }
-        self.skcomm.clone().expect("skcomm present")
+    }
+
+    /// `Reuse` mode: make sure this period's `sk_comm` and `f` exist. The
+    /// coins of `f` are mirrored into secret memory here, once.
+    fn ensure_period<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
+        self.ensure_skcomm(rng);
+        if self.period_f.is_some() {
+            return;
+        }
+        let key = self.skcomm.as_ref().expect("ensured above");
+        let mut f: Vec<HpskeCiphertext<E::G2>> = self
+            .share
+            .a
+            .iter()
+            .map(|ai| hpske::encrypt(key, ai, rng))
+            .collect();
+        hpske::normalize(&mut f);
+        self.device.secret.store("rand.dec.fcoins", coins_to_cell(&f));
+        self.period_f = Some(f);
     }
 
     /// Decryption protocol, step 1: produce [`DecMsg1`] for ciphertext
@@ -433,59 +483,43 @@ impl<E: Pairing> Party1<E> {
         ct: &Ciphertext<E>,
         rng: &mut R,
     ) -> DecMsg1<E> {
-        let key = self.period_skcomm(rng);
         let (d, e_phi): (Vec<HpskeCiphertext<E::Gt>>, E::Gt) = match self.mode {
             CommMode::Reuse => {
                 // Every pairing in this mode has A as its first slot: walk
-                // A's Miller chain once and replay it (ℓ·(κ+1) + 1
-                // evaluations). f_i = Enc'(a_i) over G with fresh
-                // direct-sampled coins; d_i = coordinate-wise pairing of
-                // f_i with A.
+                // A's Miller chain once and replay it against the period's
+                // f (ℓ·(κ+1) evaluations) and Φ (one more).
+                self.ensure_period(rng);
                 let prep_a = E::prepare(&ct.big_a);
-                let f: Vec<HpskeCiphertext<E::G2>> = self
-                    .share
-                    .a
-                    .iter()
-                    .map(|ai| hpske::encrypt(&key, ai, rng))
-                    .collect();
-                let mut coin_cell = Vec::new();
-                for fi in &f {
-                    coin_cell.extend_from_slice(&groups_to_cell(&fi.b));
-                }
-                self.device.secret.store("rand.dec.fcoins", coin_cell);
-                let d = f
-                    .iter()
-                    .map(|fi| hpske::pair_ciphertext_prepared::<E>(&prep_a, fi))
-                    .collect();
-                let e_phi = E::pair_prepared(&prep_a, &self.share.phi);
-                self.cached_f = Some(f);
-                (d, e_phi)
+                let f = self.period_f.as_deref().expect("ensured above");
+                let d = hpske::pair_ciphertexts_prepared::<E>(&prep_a, f);
+                (d, E::pair_prepared(&prep_a, &self.share.phi))
             }
             CommMode::Fresh => {
                 // Here the fixed slots are the share elements, not A: every
                 // pairing reuses the per-key prepared chains (warm after
                 // key load / refresh), so the steady state walks no Miller
                 // chain at all — A rides in the cheap evaluation slot.
+                self.ensure_skcomm(rng);
+                let key = self.skcomm.as_ref().expect("ensured above");
                 let preps = self.share_preps();
                 let ell = preps.len() - 1;
                 let d = E::multi_pair_prepared_q(&ct.big_a, &preps[..ell])
                     .iter()
-                    .map(|ei| hpske::encrypt(&key, ei, rng))
+                    .map(|ei| hpske::encrypt(key, ei, rng))
                     .collect();
-                let e_phi = E::pair_prepared_q(&ct.big_a, &preps[ell]);
-                (d, e_phi)
+                (d, E::pair_prepared_q(&ct.big_a, &preps[ell]))
             }
         };
-        let d_phi = hpske::encrypt(&key, &e_phi, rng);
-        let d_b = hpske::encrypt(&key, &ct.big_b, rng);
+        let key = self.skcomm.as_ref().expect("ensured by both modes");
+        let d_phi = hpske::encrypt(key, &e_phi, rng);
+        let d_b = hpske::encrypt(key, &ct.big_b, rng);
 
-        // Mirror the GT coins (secret randomness of this period).
-        let mut gt_coins = Vec::new();
-        if self.mode == CommMode::Fresh {
-            for di in &d {
-                gt_coins.extend_from_slice(&groups_to_cell(&di.b));
-            }
-        }
+        // Mirror the GT coins drawn by this decryption (in `Reuse` mode
+        // the `d_i` carry none of their own: they are images of `f`).
+        let mut gt_coins = match self.mode {
+            CommMode::Reuse => Vec::new(),
+            CommMode::Fresh => coins_to_cell(&d),
+        };
         gt_coins.extend_from_slice(&groups_to_cell(&d_phi.b));
         gt_coins.extend_from_slice(&groups_to_cell(&d_b.b));
         self.device.secret.store("rand.dec.gtcoins", gt_coins);
@@ -518,32 +552,43 @@ impl<E: Pairing> Party1<E> {
     }
 
     fn ref_start_inner<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> RefMsg1<E> {
-        let key = self.period_skcomm(rng);
-        let a_prime: Vec<E::G2> = (0..self.pk.params.ell).map(|_| E::G2::random(rng)).collect();
-
-        let f: Vec<HpskeCiphertext<E::G2>> = match (&self.mode, self.cached_f.take()) {
-            (CommMode::Reuse, Some(cached)) => cached,
-            _ => self
-                .share
-                .a
-                .iter()
-                .map(|ai| hpske::encrypt(&key, ai, rng))
-                .collect(),
+        // `Reuse`: the message carries a copy of the period's `f`, which
+        // stays in place — decrypts may follow a refresh that never
+        // completes, and a retried refresh must send the same `f`.
+        let f: Vec<HpskeCiphertext<E::G2>> = match self.mode {
+            CommMode::Reuse => {
+                self.ensure_period(rng);
+                self.period_f.clone().expect("ensured above")
+            }
+            CommMode::Fresh => {
+                self.ensure_skcomm(rng);
+                let key = self.skcomm.as_ref().expect("ensured above");
+                self.share
+                    .a
+                    .iter()
+                    .map(|ai| hpske::encrypt(key, ai, rng))
+                    .collect()
+            }
         };
+        let key = self.skcomm.as_ref().expect("ensured by both modes");
+        let a_prime: Vec<E::G2> = (0..self.pk.params.ell).map(|_| E::G2::random(rng)).collect();
         let f_prime: Vec<HpskeCiphertext<E::G2>> = a_prime
             .iter()
-            .map(|ai| hpske::encrypt(&key, ai, rng))
+            .map(|ai| hpske::encrypt(key, ai, rng))
             .collect();
-        let f_phi = hpske::encrypt(&key, &self.share.phi, rng);
+        let f_phi = hpske::encrypt(key, &self.share.phi, rng);
 
-        // Mirror refresh randomness: a' and all fresh G coins.
+        // Mirror refresh randomness: a' and the G coins drawn here (the
+        // coins of a period-fixed `f` are already in `rand.dec.fcoins`).
         self.device
             .secret
             .store("rand.ref.aprime", groups_to_cell(&a_prime));
-        let mut coin_cell = Vec::new();
-        for ct in f.iter().chain(f_prime.iter()).chain([&f_phi]) {
-            coin_cell.extend_from_slice(&groups_to_cell(&ct.b));
-        }
+        let mut coin_cell = match self.mode {
+            CommMode::Reuse => Vec::new(),
+            CommMode::Fresh => coins_to_cell(&f),
+        };
+        coin_cell.extend_from_slice(&coins_to_cell(&f_prime));
+        coin_cell.extend_from_slice(&groups_to_cell(&f_phi.b));
         self.device.secret.store("rand.ref.gcoins", coin_cell);
 
         self.pending_a_prime = Some(a_prime);
@@ -590,7 +635,7 @@ impl<E: Pairing> Party1<E> {
             .ok_or(CoreError::Protocol("ref_complete before ref_finish"))?;
         self.share = next;
         self.skcomm = None;
-        self.cached_f = None;
+        self.period_f = None;
         // The prepared chains belong to the outgoing share: swap in a cold
         // cache (clones sharing the old Arc keep their — now stale — view;
         // this party rebuilds lazily or on the next `warm`).
@@ -608,6 +653,12 @@ impl<E: Pairing> Party1<E> {
         self.device.secret.erase("share.next.phi");
         Ok(())
     }
+}
+
+/// The coins `b_j` of a set of ciphertexts, concatenated for a secret-memory
+/// mirror cell.
+fn coins_to_cell<G: Group>(cts: &[HpskeCiphertext<G>]) -> Vec<u8> {
+    cts.iter().flat_map(|ct| groups_to_cell(&ct.b)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -949,6 +1000,105 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(decrypt_local(&mut p1, &mut p2, &ct, &mut r).unwrap(), m);
             refresh_local(&mut p1, &mut p2, &mut r).unwrap();
+        }
+    }
+
+    #[test]
+    fn f_is_built_once_per_period() {
+        use dlr_curve::counters::measure;
+        let mut r = rng();
+        let (mut p1, mut p2, pk) = setup(&mut r);
+        let (ell, kappa) = (pk.params.ell as u64, pk.params.kappa as u64);
+        let m = <E as Pairing>::Gt::random(&mut r);
+        let ct = encrypt(&pk, &m, &mut r);
+        for period in 0..2 {
+            // Decrypt #1 of a period pays Enc'(a_i) over G for every i …
+            let (m1, ops) = measure(|| p1.dec_start(&ct, &mut r));
+            assert_eq!(ops.g_pow, ell * kappa, "period {period}");
+            assert_eq!(ops.g_op, ell, "period {period}");
+            assert_eq!(ops.pairings, ell * (kappa + 1) + 1);
+            assert_eq!(p1.dec_finish(&p2.dec_respond(&m1).unwrap()).unwrap(), m);
+            // … and decrypts #2..n touch G not at all.
+            for _ in 0..4 {
+                let (again, ops) = measure(|| p1.dec_start(&ct, &mut r));
+                assert_eq!((ops.g_pow, ops.g_op), (0, 0), "period {period}");
+                assert_eq!(ops.pairings, ell * (kappa + 1) + 1);
+                assert_eq!(ops.gt_pow, 2 * kappa);
+                // The §5.2 remark on the wire: `d` is a function of the
+                // period's f and A alone; d_Φ and d_B are fresh.
+                assert_eq!(again.d, m1.d);
+                assert_ne!(again.d_phi, m1.d_phi);
+                assert_ne!(again.d_b, m1.d_b);
+                assert_eq!(p1.dec_finish(&p2.dec_respond(&again).unwrap()).unwrap(), m);
+            }
+            // The refresh resends the period's f and builds nothing for it.
+            let (_, ops) = measure(|| refresh_local(&mut p1, &mut p2, &mut r).unwrap());
+            let refresh_without_f = ell * kappa // f'
+                + kappa                         // f_Φ
+                + 2 * ell * (kappa + 1)         // P2's combined multiexp
+                + kappa; // Dec' of Φ'
+            assert_eq!(ops.g_pow, refresh_without_f, "period {period}");
+        }
+        // A period that opens with a refresh builds f there instead.
+        let (_, ops) = dlr_curve::counters::measure(|| p1.ref_start(&mut r));
+        assert_eq!(ops.g_pow, 2 * ell * kappa + kappa);
+    }
+
+    #[test]
+    fn abandoned_refresh_keeps_the_periods_f() {
+        let mut r = rng();
+        let (mut p1, mut p2, pk) = setup(&mut r);
+        let m = <E as Pairing>::Gt::random(&mut r);
+        let ct = encrypt(&pk, &m, &mut r);
+        let before = p1.dec_start(&ct, &mut r);
+        // Two refresh attempts whose replies never arrive.
+        let first = p1.ref_start(&mut r);
+        let second = p1.ref_start(&mut r);
+        let f_bytes = |msg: &RefMsg1<E>| -> Vec<u8> {
+            msg.f.iter().flat_map(|fi| crate::codec::groups_to_cell(&fi.b)).collect()
+        };
+        assert_eq!(first.f, second.f);
+        assert_eq!(f_bytes(&first), f_bytes(&second));
+        assert_ne!(first.f_prime, second.f_prime, "a' and its coins are per attempt");
+        // Decrypts of the same period still derive from that f.
+        let (after, ops) = dlr_curve::counters::measure(|| p1.dec_start(&ct, &mut r));
+        assert_eq!((ops.g_pow, ops.g_op), (0, 0));
+        assert_eq!(after.d, before.d);
+        assert_eq!(p1.dec_finish(&p2.dec_respond(&after).unwrap()).unwrap(), m);
+        // And the retried refresh completes against the f P2 now sees.
+        let reply = p2.ref_respond(&second, &mut r).unwrap();
+        p1.ref_finish(&reply).unwrap();
+        p1.ref_complete().unwrap();
+        p2.ref_complete().unwrap();
+        assert_eq!(decrypt_local(&mut p1, &mut p2, &ct, &mut r).unwrap(), m);
+    }
+
+    #[test]
+    fn period_randomness_is_bounded_and_erased() {
+        let mut r = rng();
+        let (mut p1, mut p2, pk) = setup(&mut r);
+        let m = <E as Pairing>::Gt::random(&mut r);
+        let ct = encrypt(&pk, &m, &mut r);
+        // Secret memory does not grow with the number of decrypts.
+        let mut sizes = Vec::new();
+        for _ in 0..6 {
+            assert_eq!(decrypt_local(&mut p1, &mut p2, &ct, &mut r).unwrap(), m);
+            sizes.push(p1.device().secret.total_bits());
+        }
+        assert!(sizes.windows(2).all(|w| w[0] == w[1]), "{sizes:?}");
+        let f_coins = p1.device().secret.view().cell("rand.dec.fcoins").unwrap().to_vec();
+        let coin_len = <E as Pairing>::G2::byte_len();
+        assert_eq!(f_coins.len(), pk.params.ell * pk.params.kappa * coin_len);
+
+        refresh_local(&mut p1, &mut p2, &mut r).unwrap();
+        let names = p1.device().secret.cell_names().join(",");
+        assert!(!names.contains("rand."), "{names}");
+        let flat = p1.device().secret.view().flatten();
+        for coin in f_coins.chunks(coin_len) {
+            assert!(
+                !flat.windows(coin_len).any(|w| w == coin),
+                "a coin of the outgoing f survived ref_complete"
+            );
         }
     }
 

@@ -193,12 +193,15 @@ impl<G: Group> HpskeCiphertext<G> {
 /// payload).
 ///
 /// Worth building only when the *same* ciphertext is raised to many
-/// scalars, which happens for period-fixed elements: in
-/// [`CommMode::Reuse`](crate::dlr::CommMode) the encrypted share
-/// coordinates `f_i` stay fixed for a whole leakage period while `P2`
-/// exponentiates them once per decryption. The per-request protocol path
-/// keeps [`HpskeCiphertext::product_of_powers`] (Straus) because its bases
-/// are fresh every call — tables would cost more than they save there.
+/// scalars. The two-party protocols never do that: the period-fixed `f_i`
+/// of [`CommMode::Reuse`](crate::dlr::CommMode) are *paired* with `A` once
+/// per decryption on `P1` and exponentiated exactly once per period (by
+/// `P2`, in the refresh), and the `d_i` that `P2` exponentiates per
+/// decryption change with every ciphertext. The protocol path therefore
+/// keeps [`HpskeCiphertext::product_of_powers`] — tables would cost more
+/// than they save — and these tables serve callers that hold one
+/// ciphertext and apply many exponents to it (`bench a7_fixed_base`
+/// measures the break-even).
 ///
 /// [`pow_fixed`](Self::pow_fixed) bumps exactly the counters
 /// [`HpskeCiphertext::pow`] does (`κ+1` group pows), so op-count reports
@@ -249,22 +252,61 @@ pub fn pair_ciphertext<E: Pairing>(
     pair_ciphertext_prepared::<E>(&E::prepare(a), ct)
 }
 
-/// [`pair_ciphertext`] with `A` already [`prepare`](Pairing::prepare)d —
-/// the decryption protocols pair one `A` against many ciphertexts, so the
-/// Miller chain of `A` is walked once per `dec_start`, not once per
-/// coordinate. All `κ+1` coordinates go through one
-/// [`multi_pair_prepared`](Pairing::multi_pair_prepared) call (shared final
-/// exponentiation, optional worker-thread fan-out).
+/// [`pair_ciphertext`] with `A` already [`prepare`](Pairing::prepare)d.
 pub fn pair_ciphertext_prepared<E: Pairing>(
     prep: &E::Prepared,
     ct: &HpskeCiphertext<E::G2>,
 ) -> HpskeCiphertext<E::Gt> {
-    let mut slots: Vec<E::G2> = Vec::with_capacity(ct.b.len() + 1);
-    slots.extend(ct.b.iter().copied());
-    slots.push(ct.c0);
-    let mut paired = E::multi_pair_prepared(prep, &slots);
-    let c0 = paired.pop().expect("κ+1 slots in, κ+1 out");
-    HpskeCiphertext { b: paired, c0 }
+    pair_ciphertexts_prepared::<E>(prep, core::slice::from_ref(ct))
+        .pop()
+        .expect("one ciphertext in, one out")
+}
+
+/// Every coordinate of every ciphertext, `(b_1, …, b_κ, c_0)` per
+/// ciphertext, in order.
+fn coordinates<G: Group>(cts: &[HpskeCiphertext<G>]) -> Vec<G> {
+    cts.iter()
+        .flat_map(|ct| ct.b.iter().chain([&ct.c0]).copied())
+        .collect()
+}
+
+/// The §5.2 reuse map over a whole period's ciphertext set: every
+/// coordinate of every `f_i` paired with one prepared `A`. The decryption
+/// protocols of both `P1` layouts go through here, so the Miller chain of
+/// `A` is walked once per `dec_start` and all `n·(κ+1)` evaluations share
+/// one [`multi_pair_prepared`](Pairing::multi_pair_prepared) call (one
+/// batched final exponentiation, optional worker-thread fan-out).
+///
+/// Ciphertexts that were [`normalize`]d when the period started are
+/// evaluated as stored; anything else pays one coordinate conversion per
+/// point per call.
+pub fn pair_ciphertexts_prepared<E: Pairing>(
+    prep: &E::Prepared,
+    cts: &[HpskeCiphertext<E::G2>],
+) -> Vec<HpskeCiphertext<E::Gt>> {
+    let mut paired = E::multi_pair_prepared(prep, &coordinates(cts)).into_iter();
+    cts.iter()
+        .map(|ct| HpskeCiphertext {
+            b: paired.by_ref().take(ct.b.len()).collect(),
+            c0: paired.next().expect("κ+1 slots in, κ+1 out"),
+        })
+        .collect()
+}
+
+/// Put every coordinate of a set of ciphertexts that will be kept and
+/// re-read for a whole period (paired once per decrypt, serialized once
+/// per refresh) into the group's normalized representation, with one
+/// shared [`Group::batch_normalize`] pass. The ciphertexts are unchanged
+/// as group elements.
+pub fn normalize<G: Group>(cts: &mut [HpskeCiphertext<G>]) {
+    let mut points = coordinates(cts);
+    G::batch_normalize(&mut points);
+    let mut points = points.into_iter();
+    for ct in cts {
+        for slot in ct.b.iter_mut().chain([&mut ct.c0]) {
+            *slot = points.next().expect("one point per coordinate");
+        }
+    }
 }
 
 #[cfg(test)]

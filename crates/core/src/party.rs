@@ -104,27 +104,39 @@ impl<E: Pairing> AnyParty1<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dlr::{self, Party2};
+    use crate::dlr::{self, CommMode, Party2};
     use crate::params::SchemeParams;
     use dlr_curve::{Group, Toy};
     use rand::SeedableRng;
 
     type E = Toy;
 
-    #[test]
-    fn both_layouts_decrypt_and_refresh() {
-        let mut r = rand::rngs::StdRng::seed_from_u64(101);
-        for layout in [P1Layout::Plain, P1Layout::Streaming] {
-            let params = SchemeParams::derive::<<E as Pairing>::Scalar>(16, 64);
-            let (pk, s1, s2) = dlr::keygen::<E, _>(params, &mut r);
-            let mut p1 = AnyParty1::new(layout, pk.clone(), s1, &mut r);
-            let mut p2 = Party2::new(pk.clone(), s2);
-            let m = <E as Pairing>::Gt::random(&mut r);
-            let ct = dlr::encrypt(&pk, &m, &mut r);
-            for _ in 0..2 {
-                let m1 = p1.dec_start(&ct, &mut r);
-                let m2 = p2.dec_respond(&m1).unwrap();
-                assert_eq!(p1.dec_finish(&m2).unwrap(), m);
+    /// Every `P1` variant — plain/`Reuse`, plain/`Fresh`, streaming —
+    /// against its own unmodified `P2`, `periods` × (`decrypts` decryptions
+    /// of one ciphertext, then a refresh): all must recover the plaintext
+    /// every time.
+    fn all_variants_agree<E: Pairing>(seed: u64, periods: usize, decrypts: usize) {
+        let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+        let params = SchemeParams::derive::<E::Scalar>(16, 64);
+        let (pk, s1, s2) = dlr::keygen::<E, _>(params, &mut r);
+        let m = E::Gt::random(&mut r);
+        let ct = dlr::encrypt(&pk, &m, &mut r);
+        let variants = [
+            ("plain/reuse", AnyParty1::new(P1Layout::Plain, pk.clone(), s1.clone(), &mut r)),
+            (
+                "plain/fresh",
+                AnyParty1::Plain(Party1::with_mode(pk.clone(), s1.clone(), CommMode::Fresh)),
+            ),
+            ("streaming", AnyParty1::new(P1Layout::Streaming, pk.clone(), s1, &mut r)),
+        ];
+        for (name, mut p1) in variants {
+            let mut p2 = Party2::new(pk.clone(), s2.clone());
+            for period in 0..periods {
+                for k in 0..decrypts {
+                    let m1 = p1.dec_start(&ct, &mut r);
+                    let m2 = p2.dec_respond(&m1).unwrap();
+                    assert_eq!(p1.dec_finish(&m2).unwrap(), m, "{name} period {period} #{k}");
+                }
                 let r1 = p1.ref_start(&mut r);
                 let r2 = p2.ref_respond(&r1, &mut r).unwrap();
                 p1.ref_finish(&r2, &mut r).unwrap();
@@ -132,6 +144,18 @@ mod tests {
                 p2.ref_complete().unwrap();
             }
         }
+    }
+
+    #[test]
+    fn all_variants_decrypt_and_refresh() {
+        all_variants_agree::<Toy>(101, 3, 5);
+    }
+
+    #[test]
+    fn all_variants_decrypt_and_refresh_ss512() {
+        // One period: two decrypts (the second from the cached f) and the
+        // refresh that closes it.
+        all_variants_agree::<dlr_curve::Ss512>(103, 1, 2);
     }
 
     #[test]

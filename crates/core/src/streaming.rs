@@ -112,11 +112,7 @@ impl<E: Pairing> StreamingParty1<E> {
     ) -> DecMsg1<E> {
         // One prepared Miller chain for A serves all ℓ+1 ciphertexts.
         let prep_a = E::prepare(&ct.big_a);
-        let d = self
-            .enc_a
-            .iter()
-            .map(|fi| hpske::pair_ciphertext_prepared::<E>(&prep_a, fi))
-            .collect();
+        let d = hpske::pair_ciphertexts_prepared::<E>(&prep_a, &self.enc_a);
         let d_phi = hpske::pair_ciphertext_prepared::<E>(&prep_a, &self.enc_phi);
         let d_b = hpske::encrypt(&self.skcomm, &ct.big_b, rng);
         self.device.public.store("dec.input", ct.to_bytes());

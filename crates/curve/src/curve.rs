@@ -47,10 +47,15 @@ impl<P: SsParams> G<P> {
         Some(Self::jacobian(x, y, P::Fp::one()))
     }
 
-    /// Affine coordinates, or `None` for the point at infinity.
+    /// Affine coordinates, or `None` for the point at infinity. A point
+    /// already normalized to `Z = 1` (see [`Group::batch_normalize`]) is
+    /// returned as stored, with no field inversion.
     pub fn to_affine(&self) -> Option<(P::Fp, P::Fp)> {
         if self.z.is_zero() {
             return None;
+        }
+        if self.z == P::Fp::one() {
+            return Some((self.x, self.y));
         }
         let zinv = self.z.inverse().expect("nonzero z");
         let zinv2 = zinv.square();
@@ -151,32 +156,6 @@ impl<P: SsParams> G<P> {
         let y3 = r * (v - x3) - (self.y * j).double();
         let z3 = (self.z + h).square() - z1z1 - hh;
         Self::jacobian(x3, y3, z3)
-    }
-
-    /// Normalize a batch to affine coordinates (`Z = 1`) with a single
-    /// field inversion (Montgomery's trick). Points at infinity are left
-    /// untouched; callers must keep skipping them.
-    fn batch_normalize(points: &mut [Self]) {
-        let mut prefix = Vec::with_capacity(points.len());
-        let mut acc = P::Fp::one();
-        for p in points.iter() {
-            prefix.push(acc);
-            if !p.z.is_zero() {
-                acc *= p.z;
-            }
-        }
-        let mut suffix = acc.inverse().expect("product of nonzero z is nonzero");
-        for (p, pre) in points.iter_mut().zip(prefix).rev() {
-            if p.z.is_zero() {
-                continue;
-            }
-            let zinv = suffix * pre;
-            suffix *= p.z;
-            let zinv2 = zinv.square();
-            p.x *= zinv2;
-            p.y = p.y * zinv2 * zinv;
-            p.z = P::Fp::one();
-        }
     }
 
     /// Interleaved signed-window (wNAF) multi-exponentiation.
@@ -434,6 +413,31 @@ impl<P: SsParams> Group for G<P> {
 
     fn inverse(&self) -> Self {
         Self::jacobian(self.x, -self.y, self.z)
+    }
+
+    /// One field inversion for the whole batch (Montgomery's trick).
+    /// Points at infinity are left untouched.
+    fn batch_normalize(points: &mut [Self]) {
+        let mut prefix = Vec::with_capacity(points.len());
+        let mut acc = P::Fp::one();
+        for p in points.iter() {
+            prefix.push(acc);
+            if !p.z.is_zero() {
+                acc *= p.z;
+            }
+        }
+        let mut suffix = acc.inverse().expect("product of nonzero z is nonzero");
+        for (p, pre) in points.iter_mut().zip(prefix).rev() {
+            if p.z.is_zero() {
+                continue;
+            }
+            let zinv = suffix * pre;
+            suffix *= p.z;
+            let zinv2 = zinv.square();
+            p.x *= zinv2;
+            p.y = p.y * zinv2 * zinv;
+            p.z = P::Fp::one();
+        }
     }
 
     fn random<R: RngCore + ?Sized>(rng: &mut R) -> Self {

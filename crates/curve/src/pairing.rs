@@ -331,18 +331,52 @@ fn miller_loop<P: SsParams>(p: Affine<P::Fp>, q: Affine<P::Fp>) -> Fp2<P::Fp> {
     f
 }
 
-/// Final exponentiation `z ↦ z^{(p²−1)/r} = (z̄ / z)^c` mapping into `μ_r`.
-pub fn final_exponentiation<P: SsParams>(z: Fp2<P::Fp>) -> Gt<P> {
+/// Reference final exponentiation `z ↦ z^{(p²−1)/r} = (z̄ / z)^c`: one
+/// `F_{p²}` inversion and the generic binary power. The shipping
+/// [`final_exponentiation`] must return this exact element; it is also the
+/// path for the two inputs the Lucas ladder cannot take (`z̄/z = ±1`).
+pub(crate) fn final_exponentiation_reference<P: SsParams>(z: Fp2<P::Fp>) -> Gt<P> {
     debug_assert!(!z.is_zero());
     // z^{p−1} = conj(z) · z^{−1}  (Frobenius on F_{p²} is conjugation)
     let u = z.conjugate() * z.inverse().expect("nonzero");
-    // now raise to the cofactor c = (p+1)/r
-    let v = u.pow_vartime(P::COFACTOR);
-    Gt::from_unitary(v)
+    Gt::from_unitary(u.pow_vartime(P::COFACTOR))
+}
+
+/// The one `F_p` value whose inverse [`cofactor_power`] needs for
+/// `z = x + y·i`: `N(z)·2xy`. Zero exactly when `z̄/z = ±1` (`x = 0` or
+/// `y = 0`; `N(z) ≠ 0` for nonzero `z` because `−1` is a non-residue).
+fn cofactor_denominator<F: PrimeField>(z: &Fp2<F>) -> F {
+    z.norm() * (z.c0 * z.c1).double()
+}
+
+/// `(z̄/z)^c` given `inv = cofactor_denominator(z)^{-1}`.
+///
+/// `u = z̄/z = z̄²/N(z)` is unitary for every nonzero `z`, so the cofactor
+/// power runs as a Lucas ladder over `F_p`
+/// ([`Fp2::unitary_pow_vartime`]). With `t = 2xy` and `N = x² + y²`:
+/// `u = ((x²−y²) − t·i)/N`, and the ladder's `Im(u)^{-1} = −N/t`; both
+/// `N^{-1} = inv·t` and `t^{-1} = inv·N` come out of the one supplied
+/// inverse, so no `F_{p²}` inversion is needed at all.
+fn cofactor_power<P: SsParams>(z: &Fp2<P::Fp>, inv: &P::Fp) -> Gt<P> {
+    let n = z.norm();
+    let t = (z.c0 * z.c1).double();
+    let n_inv = *inv * t;
+    let u = Fp2::new((z.c0 - z.c1) * (z.c0 + z.c1) * n_inv, -(t * n_inv));
+    let im_inv = -(n * (*inv * n));
+    Gt::from_unitary(u.unitary_pow_vartime(P::COFACTOR, &im_inv))
+}
+
+/// Final exponentiation `z ↦ z^{(p²−1)/r} = (z̄ / z)^c` mapping into `μ_r`.
+pub fn final_exponentiation<P: SsParams>(z: Fp2<P::Fp>) -> Gt<P> {
+    debug_assert!(!z.is_zero());
+    match cofactor_denominator(&z).inverse() {
+        Some(inv) => cofactor_power::<P>(&z, &inv),
+        None => final_exponentiation_reference::<P>(z),
+    }
 }
 
 /// Batch final exponentiation: map a vector of Miller outputs into `μ_r`
-/// with **one** `F_{p²}` inversion via Montgomery's simultaneous-inversion
+/// with **one** `F_p` inversion via Montgomery's simultaneous-inversion
 /// trick ([`dlr_math::batch_inverse`]); the per-element cofactor powers are
 /// unavoidable (distinct bases).
 ///
@@ -350,16 +384,19 @@ pub fn final_exponentiation<P: SsParams>(z: Fp2<P::Fp>) -> Gt<P> {
 /// [`tate_pairing`], and the sentinel [`crate::prepared::PreparedPoint`]
 /// uses for identity-slot evaluations.
 pub fn batch_final_exponentiation<P: SsParams>(zs: &[Fp2<P::Fp>]) -> Vec<Gt<P>> {
-    let nonzero: Vec<Fp2<P::Fp>> = zs.iter().filter(|z| !z.is_zero()).copied().collect();
+    let denominators: Vec<P::Fp> = zs.iter().map(cofactor_denominator).collect();
+    let nonzero: Vec<P::Fp> = denominators.iter().filter(|d| !d.is_zero()).copied().collect();
     let inverses = dlr_math::batch_inverse(&nonzero).expect("zeros filtered out");
-    let mut inv_iter = inverses.into_iter();
+    let mut inv_iter = inverses.iter();
     zs.iter()
-        .map(|z| {
+        .zip(&denominators)
+        .map(|(z, d)| {
             if z.is_zero() {
                 Gt::identity()
+            } else if d.is_zero() {
+                final_exponentiation_reference::<P>(*z)
             } else {
-                let u = z.conjugate() * inv_iter.next().expect("one inverse per nonzero");
-                Gt::from_unitary(u.pow_vartime(P::COFACTOR))
+                cofactor_power::<P>(z, inv_iter.next().expect("one inverse per nonzero"))
             }
         })
         .collect()
@@ -697,6 +734,49 @@ mod tests {
     }
 
     #[test]
+    fn lucas_final_exponentiation_edge_inputs() {
+        // z̄/z = +1 (y = 0) and −1 (x = 0): the ladder has no imaginary
+        // part to divide by, so these take the reference path.
+        let mut r = rng();
+        let x = <Toy as SsParams>::Fp::random(&mut r);
+        let edge = [Fp2::from_base(x), Fp2::new(<Toy as SsParams>::Fp::zero(), x)];
+        for z in edge {
+            assert!(cofactor_denominator(&z).is_zero());
+            assert_eq!(final_exponentiation::<Toy>(z), final_exponentiation_reference::<Toy>(z));
+        }
+        let mut zs = edge.to_vec();
+        zs.push(Fp2::zero());
+        // Out-of-subgroup Miller values in both slots ride in the same batch.
+        let oos = crate::util::out_of_subgroup_point::<Toy>();
+        let p = G::<Toy>::random(&mut r);
+        for (a, b) in [(oos, p), (p, oos), (oos, oos)] {
+            let (a, b) = (a.to_affine().unwrap(), b.to_affine().unwrap());
+            let z = miller_loop::<Toy>(Affine { x: a.0, y: a.1 }, Affine { x: b.0, y: b.1 });
+            if !z.is_zero() {
+                zs.push(z);
+            }
+        }
+        for (z, e) in zs.iter().zip(batch_final_exponentiation::<Toy>(&zs)) {
+            if z.is_zero() {
+                assert!(e.is_identity());
+            } else {
+                assert_eq!(e, final_exponentiation_reference::<Toy>(*z));
+                assert_eq!(e, final_exponentiation::<Toy>(*z));
+            }
+        }
+    }
+
+    #[test]
+    fn ss512_lucas_final_exponentiation_smoke() {
+        let mut r = rng();
+        let zs: Vec<Fp2<<Ss512 as SsParams>::Fp>> = (0..3).map(|_| Fp2::random(&mut r)).collect();
+        for (z, e) in zs.iter().zip(batch_final_exponentiation::<Ss512>(&zs)) {
+            assert_eq!(e, final_exponentiation_reference::<Ss512>(*z));
+            assert_eq!(e, final_exponentiation::<Ss512>(*z));
+        }
+    }
+
+    #[test]
     fn batched_chain_walker_is_bit_identical() {
         let mut r = rng();
         for _ in 0..6 {
@@ -971,6 +1051,24 @@ mod tests {
                 let (p, q) = (point(sp), point(sq));
                 let prep = crate::prepared::PreparedPoint::<Toy>::prepare(&p);
                 prop_assert_eq!(prep.pair(&q), tate_pairing::<Toy>(&p, &q));
+            }
+
+            /// The Lucas-ladder cofactor power is bit-identical to the
+            /// generic `pow_vartime(COFACTOR)` on arbitrary nonzero inputs
+            /// (every `z̄/z` is unitary), single and batched.
+            #[test]
+            fn lucas_final_exp_equals_reference(seeds in proptest::collection::vec(any::<u64>(), 1..6)) {
+                let zs: Vec<Fp2<<Toy as SsParams>::Fp>> = seeds
+                    .iter()
+                    .map(|s| Fp2::random(&mut rand::rngs::StdRng::seed_from_u64(*s)))
+                    .filter(|z| !z.is_zero())
+                    .collect();
+                let batched = batch_final_exponentiation::<Toy>(&zs);
+                for (z, e) in zs.iter().zip(&batched) {
+                    let reference = final_exponentiation_reference::<Toy>(*z);
+                    prop_assert_eq!(*e, reference);
+                    prop_assert_eq!(final_exponentiation::<Toy>(*z), reference);
+                }
             }
 
             /// Batched product equals the per-element fold.

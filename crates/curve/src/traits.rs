@@ -57,6 +57,13 @@ pub trait Group:
     }
     /// The inverse element (`a^{-1}`).
     fn inverse(&self) -> Self;
+    /// Rewrite a batch in place into the representation that serialization
+    /// and the pairing evaluation slot consume directly, sharing the cost
+    /// across the batch. Never changes which elements the slice holds;
+    /// worth calling on elements that are kept and re-read (the per-period
+    /// `f` ciphertexts of `dlr-core`). Default: elements are already
+    /// canonical, nothing to do.
+    fn batch_normalize(_points: &mut [Self]) {}
     /// Sample a uniformly random element **without a known discrete
     /// logarithm** (the §5.2 remark requires sampling group elements
     /// directly so their dlogs never exist in any device's memory).

@@ -69,6 +69,47 @@ impl<F: PrimeField> Fp2<F> {
         self.conjugate()
     }
 
+    /// `self^exp` for a **unitary** `self = a + b·i` with `b ≠ 0`, given
+    /// `c1_inv = b^{-1}` (variable time in `exp`).
+    ///
+    /// With `ū = u^{-1}` the real parts `W_n = Re(u^n)` form a Lucas
+    /// sequence over `F_p` alone: `W_{2n} = 2W_n² − 1`,
+    /// `W_{2n+1} = 2·W_n·W_{n+1} − a`. A ladder on `(W_n, W_{n+1})` costs
+    /// one `F_p` squaring and one `F_p` multiplication per exponent bit —
+    /// against an `F_{p²}` squaring per bit plus an `F_{p²}` multiplication
+    /// per set bit for [`FieldElement::pow_vartime`] — and the imaginary
+    /// part falls out at the end as `(a·W_n − W_{n+1})/b`. The caller
+    /// supplies `b^{-1}` so a batch can share one inversion. Returns the
+    /// same canonical element as `pow_vartime(exp)`.
+    pub fn unitary_pow_vartime(&self, exp: &[u64], c1_inv: &F) -> Self {
+        debug_assert!(self.is_unitary());
+        debug_assert!(self.c1 * *c1_inv == F::one(), "c1_inv must invert the imaginary part");
+        let nbits = crate::limbs::bits_slice(exp);
+        if nbits == 0 {
+            return Self::one();
+        }
+        let a = self.c0;
+        let double_square_minus_one = |w: &F| w.square().double() - F::one();
+        // (W_1, W_2) after the top bit.
+        let (mut lo, mut hi) = (a, double_square_minus_one(&a));
+        let mut i = nbits - 1;
+        while i > 0 {
+            i -= 1;
+            let mid = (lo * hi).double() - a;
+            if (exp[(i / 64) as usize] >> (i % 64)) & 1 == 1 {
+                lo = mid;
+                hi = double_square_minus_one(&hi);
+            } else {
+                hi = mid;
+                lo = double_square_minus_one(&lo);
+            }
+        }
+        Self {
+            c0: lo,
+            c1: (a * lo - hi) * *c1_inv,
+        }
+    }
+
     /// Fully-reduced schoolbook/Karatsuba multiplication — the reference
     /// implementation the lazy-reduction paths (`square`, [`Fp2::norm`],
     /// [`Fp2::sum_of_products`]) are differentially tested against. Every
@@ -317,6 +358,35 @@ mod tests {
         let u = a.conjugate() * a.inverse().unwrap();
         assert!(u.is_unitary());
         assert_eq!(u.unitary_inverse() * u, F2::one());
+    }
+
+    #[test]
+    fn unitary_pow_matches_generic_pow() {
+        let mut r = rng();
+        let mut checked = 0;
+        while checked < 40 {
+            let a = F2::random(&mut r);
+            if a.is_zero() {
+                continue;
+            }
+            let u = a.conjugate() * a.inverse().unwrap();
+            let Some(c1_inv) = u.c1.inverse() else {
+                continue; // u = ±1 has no imaginary part to divide by
+            };
+            for exp in [
+                &[0u64][..],
+                &[1],
+                &[2],
+                &[3],
+                &[0xb4],
+                &[0xdead_beef_0123_4567, 0x1f],
+                &[0, 1],
+                &[u64::MAX, u64::MAX],
+            ] {
+                assert_eq!(u.unitary_pow_vartime(exp, &c1_inv), u.pow_vartime(exp), "exp {exp:x?}");
+            }
+            checked += 1;
+        }
     }
 
     #[test]

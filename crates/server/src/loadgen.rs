@@ -140,6 +140,7 @@ impl LoadgenOutcome {
     pub fn to_report(&self) -> Report {
         let mut report = Report::capture()
             .with_meta("component", "dlr-loadgen")
+            .with_meta("op_profile", dlr_core::dlr::OP_PROFILE)
             .with_meta("clients", &self.clients.to_string())
             .with_meta("requests", &self.requests.to_string())
             .with_meta("successes", &self.successes.to_string())

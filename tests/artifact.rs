@@ -2,7 +2,9 @@
 //! `tools/bench-compare.sh --all` trajectory walk over the committed
 //! `BENCH_PR*.json` reports must hold op-count parity and emit
 //! well-formed delta output, and a perturbed op count anywhere in the
-//! sequence must fail the walk.
+//! sequence must fail the walk; the one *declared* op-count change (the
+//! PR10 → PR12 op-profile boundary) must pass with its predicted deltas
+//! printed and fail on anything outside them.
 //!
 //! These run the real shell script via `bash` from the repository root
 //! (integration tests execute with the package root as CWD).
@@ -102,6 +104,66 @@ fn trajectory_walk_fails_on_perturbed_op_count() {
         text.contains("ops.pairings 20700 -> 20701"),
         "mismatch report must name the drifted op:\n{text}"
     );
+}
+
+/// `BENCH_PR12.json` with one op count of one span bumped by one, written
+/// to a scratch file whose path is returned.
+fn perturbed_pr12(tag: &str, span: &str, bump: fn(&mut dlr::curve::counters::OpsReport)) -> std::path::PathBuf {
+    let text = std::fs::read_to_string("BENCH_PR12.json").expect("read BENCH_PR12.json");
+    let mut report = dlr::metrics::Report::from_json(&text).expect("parse BENCH_PR12.json");
+    bump(&mut report.spans.get_mut(span).expect("span present").ops);
+    let path = std::env::temp_dir().join(format!("dlr-artifact-{}-{tag}.json", std::process::id()));
+    std::fs::write(&path, report.to_json()).expect("write perturbed report");
+    path
+}
+
+#[test]
+fn declared_op_profile_boundary_moves_only_predicted_fields() {
+    // PR10 (f re-encrypted per decrypt) -> PR12 (f once per period): the
+    // comparator announces the boundary, prints predicted vs observed for
+    // the declared fields, and still holds parity everywhere else.
+    let out = bench_compare(&["BENCH_PR10.json", "BENCH_PR12.json"]);
+    let text = stdout_of(&out);
+    assert!(out.status.success(), "declared boundary must pass:\n{text}");
+    assert!(
+        text.contains("declared op-profile change (per-decrypt-f -> period-f)"),
+        "boundary not announced:\n{text}"
+    );
+    // 6 clients x 50 decrypts, 17 share elements, kappa = 3: all but each
+    // client's first decrypt drop their 17 encryptions.
+    assert!(text.contains("4998 Enc' over G (kappa = 3) no longer run"), "{text}");
+    assert!(
+        text.contains("predicted -14994  observed -14994"),
+        "predicted delta missing:\n{text}"
+    );
+    assert!(text.contains("parity enforced on every other field"), "{text}");
+
+    // Negative controls across the boundary: a field outside the declared
+    // set, a non-declared op inside the subtree, and a declared field that
+    // disagrees with its prediction must each fail.
+    type Bump = fn(&mut dlr::curve::counters::OpsReport);
+    let cases: [(&str, &str, Bump, &str); 3] = [
+        ("p2", "dec.p2.respond", |o| o.gt_pow += 1, "dec.p2.respond: ops.gt_pow"),
+        ("pair", "dec.p1.start", |o| o.pairings += 1, "dec.p1.start: ops.pairings"),
+        ("pred", "dec.p1.start", |o| o.g_pow += 1, "declared boundary predicts"),
+    ];
+    for (tag, span, bump, expect) in cases {
+        let bad = perturbed_pr12(tag, span, bump);
+        let out = bench_compare(&["BENCH_PR10.json", bad.to_str().unwrap()]);
+        let text = stdout_of(&out);
+        std::fs::remove_file(&bad).ok();
+        assert!(!out.status.success(), "{tag}: perturbed report must fail:\n{text}");
+        assert!(text.contains("OP-COUNT MISMATCH") && text.contains(expect), "{tag}:\n{text}");
+    }
+
+    // Inside one profile nothing is declared: the same g_pow bump that the
+    // boundary would have to predict is a plain mismatch.
+    let bad = perturbed_pr12("same", "dec.p1.start", |o| o.g_pow += 1);
+    let out = bench_compare(&["BENCH_PR12.json", bad.to_str().unwrap()]);
+    let text = stdout_of(&out);
+    std::fs::remove_file(&bad).ok();
+    assert!(!out.status.success(), "{text}");
+    assert!(!text.contains("declared op-profile change"), "{text}");
 }
 
 #[test]

@@ -54,6 +54,45 @@ fn multi_period_session_over_channel() {
 }
 
 #[test]
+fn a_period_over_the_wire_builds_f_once() {
+    // The §5.2 reuse remark as P1's device sees it through the driver:
+    // only the first decrypt of a period touches G; after the refresh the
+    // next period's first decrypt builds f again.
+    use dlr::curve::counters::measure;
+    let mut r = rng(40);
+    let (pk, s1, s2) = scheme::keygen::<E, _>(toy_params(), &mut r);
+    let (ell, kappa) = (pk.params.ell as u64, pk.params.kappa as u64);
+    let mut p1 = scheme::Party1::new(pk.clone(), s1);
+    let mut p2 = scheme::Party2::new(pk.clone(), s2);
+    let m = <E as Pairing>::Gt::random(&mut r);
+    let ct = scheme::encrypt(&pk, &m, &mut r);
+
+    let out = run_pair(
+        move |t| {
+            let mut r = rng(41);
+            let mut g_pows = Vec::new();
+            for _period in 0..2 {
+                for _ in 0..3 {
+                    let (got, ops) = measure(|| driver::p1_decrypt(&mut p1, &ct, t, &mut r));
+                    assert_eq!(got.unwrap(), m);
+                    assert_eq!(ops.pairings, ell * (kappa + 1) + 1);
+                    g_pows.push((ops.g_pow, ops.g_op));
+                }
+                driver::p1_refresh(&mut p1, t, &mut r).unwrap();
+            }
+            driver::p1_shutdown(t).unwrap();
+            g_pows
+        },
+        move |t| {
+            let mut r = rng(42);
+            driver::p2_serve_loop(&mut p2, t, &mut r).unwrap()
+        },
+    );
+    let first = (ell * kappa, ell);
+    assert_eq!(out.p1, [first, (0, 0), (0, 0), first, (0, 0), (0, 0)]);
+}
+
+#[test]
 fn streaming_and_plain_layouts_interoperate_with_one_p2() {
     let mut r = rng(4);
     let (pk, s1, s2) = scheme::keygen::<E, _>(toy_params(), &mut r);

@@ -31,4 +31,7 @@ cargo run --release -q -p dlr-cli -- cluster --replicas 2 --keys 3 --clients 3 \
 echo "==> kick-tires artifact run (tables + drift gate + trajectory parity)"
 tools/kick-tires.sh
 
+echo "==> repo benchmark smoke (every workload 2.5 s, replies verified, output schema)"
+benchmark/run.sh --smoke
+
 echo "ci OK"

@@ -18,15 +18,20 @@
 #      deterministic batched-request counts; L3 sweeps 1/2/4 key-sharded
 #      replicas with routed clients and drift-gates the redirect counts);
 #   3. the fresh A6/L1/L3 metrics JSON is op-identical to the committed
-#      BENCH_PR2.json / BENCH_PR8.json / BENCH_PR10.json baselines (live
-#      run vs history);
+#      BENCH_PR2.json / BENCH_L1_PR12.json / BENCH_PR12.json baselines
+#      (live run vs history; the A6 session runs one decrypt per period,
+#      so it stays op-identical to PR2 across the op-profile boundary);
 #   4. the committed PR7->PR8 server rebuild, the PR8->PR9 fleet
 #      routing, and the PR9->PR10 batch executor each preserved the
 #      workload's op-count fingerprint exactly (routing and batching
-#      must be free at the op-count level);
-#   5. a negative control: a deliberately perturbed dec.p2.respond op
-#      count must make the comparator fail (the parity gate can fail);
-#   6. the committed BENCH_PR1->PR10 trajectory itself holds op-count
+#      must be free at the op-count level), and the PR10->PR12 / PR8->
+#      L1_PR12 period-fixed f moved only the declared fields (hpske.enc
+#      count, g_op/g_pow under dec.p1.start) by the predicted amount;
+#   5. negative controls: a deliberately perturbed dec.p2.respond op
+#      count must make the comparator fail, within one op profile and
+#      across the declared boundary, and so must a boundary delta that
+#      disagrees with its prediction (the parity gate can fail);
+#   6. the committed BENCH_PR1->PR12 trajectory itself holds op-count
 #      parity within each report kind (`bench-compare.sh --all`).
 #
 # The full-length counterpart (all parameter sets, criterion benches,
@@ -51,13 +56,13 @@ step "live session vs committed BENCH_PR2.json (op-count parity)"
 tools/bench-compare.sh BENCH_PR2.json out/A6.json
 claims+=("live A6 session op-identical to BENCH_PR2.json: OK")
 
-step "live loadgen vs committed BENCH_PR8.json (op-count parity)"
-tools/bench-compare.sh BENCH_PR8.json out/L1.json
-claims+=("live L1 loadgen op-identical to BENCH_PR8.json: OK")
+step "live loadgen vs committed BENCH_L1_PR12.json (op-count parity)"
+tools/bench-compare.sh BENCH_L1_PR12.json out/L1.json
+claims+=("live L1 loadgen op-identical to BENCH_L1_PR12.json: OK")
 
-step "live fleet loadgen vs committed BENCH_PR10.json (op-count parity)"
-tools/bench-compare.sh BENCH_PR10.json out/L3.json
-claims+=("live fleet session op-identical to BENCH_PR10.json: OK")
+step "live fleet loadgen vs committed BENCH_PR12.json (op-count parity)"
+tools/bench-compare.sh BENCH_PR12.json out/L3.json
+claims+=("live fleet session op-identical to BENCH_PR12.json: OK")
 
 step "PR7->PR8 server rebuild preserved the op-count fingerprint"
 tools/bench-compare.sh BENCH_PR7.json BENCH_PR8.json
@@ -71,28 +76,41 @@ step "PR9->PR10 dynamic batching preserved the op-count fingerprint"
 tools/bench-compare.sh BENCH_PR9.json BENCH_PR10.json
 claims+=("adaptive batch executor op-identical to inline path (PR9 vs PR10): OK")
 
-step "negative control: a perturbed dec.p2.respond op count must fail"
+step "PR10->PR12 and PR8->L1_PR12 period-fixed f moved only the declared fields"
+tools/bench-compare.sh BENCH_PR10.json BENCH_PR12.json
+tools/bench-compare.sh BENCH_PR8.json BENCH_L1_PR12.json
+claims+=("period-fixed f changed only hpske.enc count and G ops under dec.p1.start, as predicted (PR10 vs PR12, PR8 vs L1_PR12): OK")
+
+step "negative controls: perturbed op counts must fail, inside a profile and across the boundary"
 perturbed=$(mktemp /tmp/dlr-perturbed-XXXXXX.json)
-python3 - out/L3.json "$perturbed" <<'PY'
+# usage: must_reject BASELINE SPAN OP WHAT — bump one op count of the live
+# fleet report and require the comparator to refuse it against BASELINE.
+must_reject() {
+    python3 - out/L3.json "$perturbed" "$2" "$3" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 bumped = 0
 for s in doc["spans"]:
-    if s["path"] == "dec.p2.respond":
-        s["ops"]["gt_pow"] += 1
+    if s["path"] == sys.argv[3]:
+        s["ops"][sys.argv[4]] += 1
         bumped += 1
-assert bumped == 1, f"expected one dec.p2.respond span, found {bumped}"
+assert bumped == 1, f"expected one {sys.argv[3]} span, found {bumped}"
 json.dump(doc, open(sys.argv[2], "w"))
 PY
-if tools/bench-compare.sh BENCH_PR10.json "$perturbed" >/dev/null 2>&1; then
-    rm -f "$perturbed"
-    echo "FAIL: comparator accepted a perturbed dec.p2.respond op count"
-    exit 1
-fi
+    if tools/bench-compare.sh "$1" "$perturbed" >/dev/null 2>&1; then
+        rm -f "$perturbed"
+        echo "FAIL: comparator accepted $4"
+        exit 1
+    fi
+}
+must_reject BENCH_PR12.json dec.p2.respond gt_pow "a perturbed dec.p2.respond op count"
+must_reject BENCH_PR10.json dec.p2.respond gt_pow "a perturbed dec.p2.respond op count across the op-profile boundary"
+must_reject BENCH_PR10.json dec.p1.start pairings "a pairing-count change inside the declared subtree"
+must_reject BENCH_PR10.json dec.p1.start g_pow "a boundary delta that disagrees with its prediction"
 rm -f "$perturbed"
-claims+=("comparator rejects a perturbed batch op count (negative control): OK")
+claims+=("comparator rejects perturbed op counts inside a profile and across the declared boundary (negative controls): OK")
 
-step "committed BENCH_PR1->PR10 trajectory parity"
+step "committed BENCH_PR1->PR12 trajectory parity"
 tools/bench-compare.sh --all
 claims+=("BENCH_PR* trajectory op-count parity: OK")
 
