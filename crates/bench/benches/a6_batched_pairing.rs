@@ -1,14 +1,12 @@
 //! A6 — ablation: the batched pairing engine vs per-element pairing.
 //!
-//! Three comparisons on the decryption hot-path shape (`κ+1` second
+//! Two comparisons on the decryption hot-path shape (`κ+1` second
 //! arguments per fixed `A`, ℓ-term pairing products):
 //!
 //! * `multi/prepared` vs `multi/direct` — cached Miller lines + batched
 //!   final exponentiation vs one full `tate_pairing` per element;
 //! * `product/shared` vs `product/fold` — shared squaring chain and single
-//!   final exponentiation vs folding per-element pairings;
-//! * `multi/parallel` — the prepared path with the scoped-thread fan-out
-//!   enabled (workers = 4).
+//!   final exponentiation vs folding per-element pairings.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dlr_curve::{pairing, Group, Pairing, PreparedPoint, Toy, G};
@@ -31,14 +29,6 @@ fn benches(c: &mut Criterion) {
                 let prep = PreparedPoint::<Toy>::prepare(&a);
                 prep.multi_pairing(&qs)
             })
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &n, |b, _| {
-            dlr_curve::set_parallel_threads(4);
-            b.iter(|| {
-                let prep = PreparedPoint::<Toy>::prepare(&a);
-                prep.multi_pairing(&qs)
-            });
-            dlr_curve::set_parallel_threads(0);
         });
     }
     group.finish();

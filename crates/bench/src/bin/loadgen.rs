@@ -16,7 +16,7 @@
 //! `--fleet` runs the identical workload against a 2-replica key-sharded
 //! fleet through routed clients (the `BENCH_PR9.json` methodology):
 //! same seed, same op-count fingerprint, plus redirect/failover counters
-//! and per-shard percentiles in the report metadata.
+//! and per-replica percentiles in the report metadata.
 //!
 //! The sessions themselves live in [`dlr_bench::artifact::loadgen_session`]
 //! and [`dlr_bench::artifact::fleet_loadgen_session`], shared with the

@@ -31,7 +31,7 @@ subcommands:
   decrypt         --pk FILE --sk1 FILE --sk2 FILE --in FILE --out FILE [--curve C]
   refresh         --pk FILE --sk1 FILE --sk2 FILE [--curve C]
   serve-p2        --pk FILE --sk2 FILE --listen ADDR [--curve C] [--key-id ID]
-                  [--max-sessions N] [--workers N] [--shards N]
+                  [--max-sessions N] [--workers N]
                   [--epoch-secs S] [--stats-json FILE] [--stats-secs S]
                   [--batch-max N] [--batch-wait-us US]
   decrypt-remote  --pk FILE --sk1 FILE --connect ADDR --in FILE --out FILE
@@ -39,7 +39,7 @@ subcommands:
   loadgen         --pk FILE --sk1 FILE --connect ADDR [--curve C] [--key-id ID]
                   [--clients N] [--requests N] [--out FILE]
   cluster         [--curve C] [--replicas N] [--keys K] [--clients N] [--requests N]
-                  [--shards N] [--n N] [--lambda L] [--out FILE]
+                  [--n N] [--lambda L] [--out FILE]
                   [--fault-ms MS] [--downtime-ms MS] [--fault-replica I]
                   [--epoch-sweep-secs S] [--batch-max N] [--batch-wait-us US]
   metrics         [--curve C] [--trials N] [--n N] [--lambda L]
@@ -49,8 +49,8 @@ subcommands:
 
 `serve-p2` runs the concurrent dlr-server key-share service: a fixed set
 of readiness event loops (--workers, 0 = auto) driving nonblocking
-sessions, the keyring sharded across them by key id (--shards, 0 = one
-per worker), per-session key selection via hello, epoch-driven refresh
+sessions, each key owned by one of them (chosen by a hash of its id),
+per-session key selection via hello, epoch-driven refresh
 boundaries (--epoch-secs), durable share persistence back to --sk2 after
 every refresh, and periodic JSON stats dumps. --batch-max N with N != 1
 turns on dynamic cross-request batching: decrypt requests decoded in the
@@ -62,16 +62,16 @@ concurrent closed-loop decrypt clients and prints (or writes with --out)
 a throughput/latency report in dlr-metrics JSON.
 
 `cluster` is a self-contained fleet demo: it generates K keys in
-process, spawns a key-sharded fleet of --replicas dlr-server instances
-(each owning the slice of the FNV-1a key ring whose `shard % replicas`
-lands on it), then drives the routed closed-loop load generator — every
-client follows NotMine redirects and fails over on replica death. With
+process, spawns a fleet of --replicas dlr-server instances (each key
+owned by the replica its id hashes to; the same hash picks its worker
+inside the replica), then drives the routed closed-loop load generator
+— every client follows NotMine redirects and fails over on replica death. With
 --fault-ms it kills replica --fault-replica (default 0) that many ms
 into the run and restarts it after --downtime-ms, proving routed
 clients ride through the outage. --epoch-sweep-secs S rolls a staggered
 epoch boundary across the running replicas every S seconds while the
 load runs; --batch-max/--batch-wait-us enable per-replica cross-request
-batching as in serve-p2. Prints aggregate and per-shard percentiles
+batching as in serve-p2. Prints aggregate and per-replica percentiles
 plus redirect/failover counters; --out writes the dlr-metrics JSON
 report.
 
@@ -229,7 +229,6 @@ fn serve_p2<E: Pairing>(args: &Args) -> Result<(), AnyError> {
     let config = ServerConfig {
         max_sessions: args.get_u32_or("max-sessions", 32)? as usize,
         workers: args.get_u32_or("workers", 0)? as usize,
-        shards: args.get_u32_or("shards", 0)? as usize,
         epoch_interval: (epoch_secs > 0).then(|| Duration::from_secs(epoch_secs.into())),
         stats_interval: (stats_secs > 0).then(|| Duration::from_secs(stats_secs.into())),
         stats_path: args.options_get("stats-json").map(PathBuf::from),
@@ -237,7 +236,7 @@ fn serve_p2<E: Pairing>(args: &Args) -> Result<(), AnyError> {
         batch_wait: Duration::from_micros(args.get_u32_or("batch-wait-us", 0)?.into()),
         ..ServerConfig::default()
     };
-    let (workers, shards) = (config.resolved_workers(), config.resolved_shards());
+    let workers = config.resolved_workers();
     let batching = if config.batching_enabled() {
         format!(
             ", batching <= {} / {} µs",
@@ -253,7 +252,7 @@ fn serve_p2<E: Pairing>(args: &Args) -> Result<(), AnyError> {
     };
     let server = Server::bind(args.require("listen")?, Arc::new(keyring), config)?;
     println!(
-        "dlr-server: P2 serving on {} (key id `{}`, {workers} workers, {shards} shards{batching})",
+        "dlr-server: P2 serving on {} (key id `{}`, {workers} workers{batching})",
         server.handle().local_addr(),
         args.get_or("key-id", "default"),
     );
@@ -333,15 +332,14 @@ fn loadgen<E: Pairing>(args: &Args) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// Self-contained fleet demo: keygen in process, spawn a key-sharded
-/// replica fleet, drive it with routed clients, optionally kill and
-/// restart one replica mid-load, and report per-shard percentiles.
+/// Self-contained fleet demo: keygen in process, spawn a replica fleet,
+/// drive it with routed clients, optionally kill and restart one replica
+/// mid-load, and report per-replica percentiles.
 fn cluster<E: Pairing>(args: &Args) -> Result<(), AnyError> {
     let replicas = (args.get_u32_or("replicas", 2)? as usize).max(1);
     let key_count = (args.get_u32_or("keys", 4)? as usize).max(1);
     let clients = (args.get_u32_or("clients", 4)? as usize).max(1);
     let requests = args.get_u32_or("requests", 25)? as usize;
-    let shards = args.get_u32_or("shards", 0)? as usize;
     let n = args.get_u32_or("n", 16)?;
     let lambda = args.get_u32_or("lambda", 64)?;
     let fault_ms = args.get_u32_or("fault-ms", 0)?;
@@ -365,7 +363,6 @@ fn cluster<E: Pairing>(args: &Args) -> Result<(), AnyError> {
     let _ = fs::remove_dir_all(&data_dir);
     let config = FleetLadderConfig {
         replica_rungs: vec![replicas],
-        shards,
         data_dir: data_dir.clone(),
         base_server: ServerConfig {
             max_sessions: clients + 2,
@@ -402,10 +399,7 @@ fn cluster<E: Pairing>(args: &Args) -> Result<(), AnyError> {
     let rung = rungs.into_iter().next().expect("one rung requested");
     let outcome = &rung.outcome;
 
-    println!(
-        "cluster: {replicas} replicas / {} shards, {key_count} keys, {clients} clients x {requests} reqs",
-        rung.topology.shards,
-    );
+    println!("cluster: {replicas} replicas, {key_count} keys, {clients} clients x {requests} reqs");
     println!(
         "  {}/{} ok, {:.1} req/s, p50 {} µs, p95 {} µs, p99 {} µs",
         outcome.successes,
@@ -425,13 +419,12 @@ fn cluster<E: Pairing>(args: &Args) -> Result<(), AnyError> {
             None => String::new(),
         },
     );
-    for (&shard, samples) in &outcome.per_shard {
+    for (&replica, samples) in &outcome.per_replica {
         println!(
-            "  shard {shard} -> replica {}: {} reqs, p50 {} µs, p95 {} µs",
-            shard % replicas,
+            "  replica {replica}: {} reqs, p50 {} µs, p95 {} µs",
             samples.len(),
-            outcome.shard_percentile_ns(shard, 50.0) / 1_000,
-            outcome.shard_percentile_ns(shard, 95.0) / 1_000,
+            outcome.replica_percentile_ns(replica, 50.0) / 1_000,
+            outcome.replica_percentile_ns(replica, 95.0) / 1_000,
         );
     }
     if let Some(path) = args.options_get("out") {

@@ -1,10 +1,10 @@
-//! Per-shard epoch coordination.
+//! Per-replica epoch coordination.
 //!
 //! The DLR security model (Def. 3.1) counts leakage per *leakage period*,
 //! delimited by share refreshes. A naive fleet would refresh with a
 //! fleet-wide pause — stop the world, rotate every key, resume. This
-//! coordinator keeps epoch boundaries **shard-local**: kicking shard `s`
-//! touches only the replica owning `s`; every other replica keeps serving
+//! coordinator keeps epoch boundaries **replica-local**: kicking slot `s`
+//! touches only replica `s`; every other replica keeps serving
 //! decrypts with zero coordination. That is exactly the locality the
 //! two-device model permits — refresh is a per-key (P1, P2) protocol, so
 //! there is nothing to synchronise across keys that live on different
@@ -20,7 +20,7 @@ use dlr_curve::Pairing;
 use std::io;
 use std::time::{Duration, Instant};
 
-/// Coordinates shard-local epoch boundaries across a [`Fleet`].
+/// Coordinates replica-local epoch boundaries across a [`Fleet`].
 pub struct EpochCoordinator<'a, E: Pairing> {
     fleet: &'a Fleet<E>,
 }
@@ -32,20 +32,15 @@ impl<'a, E: Pairing> EpochCoordinator<'a, E> {
         Self { fleet }
     }
 
-    /// The replica index owning `shard` on the fleet's ring.
-    pub fn replica_for_shard(&self, shard: usize) -> usize {
-        shard % self.fleet.replica_count().max(1)
-    }
-
-    /// Trigger an epoch boundary on the single replica owning `shard`.
-    /// Asynchronous; returns the owning replica index. Errors if that
-    /// replica is down.
-    pub fn kick_shard(&self, shard: usize) -> io::Result<usize> {
-        let replica = self.replica_for_shard(shard);
+    /// Trigger an epoch boundary on replica `slot` (modulo the replica
+    /// count), and on no other. Asynchronous; returns the replica index.
+    /// Errors if that replica is down.
+    pub fn kick_shard(&self, slot: usize) -> io::Result<usize> {
+        let replica = slot % self.fleet.replica_count().max(1);
         let handle = self.fleet.handle(replica).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::NotConnected,
-                format!("replica {replica} (owner of shard {shard}) is down"),
+                format!("replica {replica} is down"),
             )
         })?;
         handle.force_epoch();
@@ -53,14 +48,14 @@ impl<'a, E: Pairing> EpochCoordinator<'a, E> {
     }
 
     /// [`kick_shard`](Self::kick_shard), then wait (bounded by `timeout`)
-    /// for the owning replica's epoch counter to advance past its value
-    /// at call time. Returns `(replica, epoch_after)`.
-    pub fn kick_shard_sync(&self, shard: usize, timeout: Duration) -> io::Result<(usize, u64)> {
-        let replica = self.replica_for_shard(shard);
+    /// for the replica's epoch counter to advance past its value at call
+    /// time. Returns `(replica, epoch_after)`.
+    pub fn kick_shard_sync(&self, slot: usize, timeout: Duration) -> io::Result<(usize, u64)> {
+        let replica = slot % self.fleet.replica_count().max(1);
         let before = self
             .epoch_of_replica(replica)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "replica is down"))?;
-        self.kick_shard(shard)?;
+        self.kick_shard(replica)?;
         let deadline = Instant::now() + timeout;
         loop {
             match self.epoch_of_replica(replica) {
@@ -84,13 +79,9 @@ impl<'a, E: Pairing> EpochCoordinator<'a, E> {
         }
     }
 
-    /// Kick the shard owning `key_id` (resolves the ring position first).
-    /// Returns the owning replica index.
+    /// Kick the replica owning `key_id`. Returns its index.
     pub fn kick_key(&self, key_id: &[u8]) -> io::Result<usize> {
-        let replica = self.fleet.owner_of(key_id);
-        let shard = dlr_protocol::shard_of(key_id, self.fleet.topology().shards as usize);
-        debug_assert_eq!(self.replica_for_shard(shard), replica);
-        self.kick_shard(shard)
+        self.kick_shard(self.fleet.owner_of(key_id))
     }
 
     /// Current epoch counter of replica `index` (`None` if down).

@@ -1,14 +1,13 @@
 //! Fleet supervisor: spawn, monitor, kill and restart a set of
-//! [`dlr_server::Server`] replicas, each owning a slice of the key-id
-//! shard ring.
+//! [`dlr_server::Server`] replicas, each owning a slice of the key ids.
 //!
 //! ## Ownership model
 //!
-//! The ring is the same FNV-1a hash the in-process keyring shards by
-//! ([`dlr_protocol::shard_of`]): key id → shard → replica
-//! `shard % replicas`. Every replica is constructed with
+//! A key's replica is the replica half of [`dlr_protocol::place`] — the
+//! same function the router and every server's worker map use. Every
+//! replica is constructed with
 //!
-//! * a keyring holding **only** the keys whose shard it owns,
+//! * a keyring holding **only** the keys placed on it,
 //! * the full fleet [`TopologyMsg`] (served on the `Topology` request),
 //! * an [`OwnerHint`] oracle over that topology, so a hello for a key
 //!   another replica owns is answered with `NotMine` + the owner's
@@ -16,17 +15,17 @@
 //!
 //! ## Durability and restart
 //!
-//! Every key share is persisted (atomic temp + fsync + rename) into the
-//! fleet's `data_dir` before its replica first serves it, and re-persisted
-//! by the server on every committed refresh. [`Fleet::restart_replica`]
-//! therefore rebuilds a killed replica's keyring **from disk**, picking up
-//! whatever generation the share had reached — the supervisor holds no
-//! share material of its own beyond spawn time.
+//! Every key share is persisted (atomic temp + fsync + rename + directory
+//! fsync) into the fleet's `data_dir` before its replica first serves it,
+//! and re-persisted by the server on every committed refresh.
+//! [`Fleet::restart_replica`] therefore rebuilds a killed replica's
+//! keyring **from disk**, picking up whatever generation the share had
+//! reached — the supervisor holds no share material of its own beyond
+//! spawn time.
 
 use dlr_core::dlr::{PublicKey, Share2};
 use dlr_core::driver::{TopologyMsg, WIRE_VERSION};
 use dlr_curve::Pairing;
-use dlr_protocol::shard_of;
 use dlr_server::keyring::persist_atomically;
 use dlr_server::{Keyring, OwnerHint, Server, ServerConfig, ServerHandle, StatsSnapshot};
 use std::io;
@@ -42,10 +41,6 @@ use std::time::{Duration, Instant};
 pub struct FleetConfig {
     /// Number of server replicas to spawn.
     pub replicas: usize,
-    /// Shard-ring size. `0` = one shard per replica. A ring larger than
-    /// the replica count spreads keys more evenly and keeps shard→key
-    /// assignments stable under replica-count changes.
-    pub shards: usize,
     /// Directory holding the durable key shares (`<hex(id)>.share`).
     pub data_dir: PathBuf,
     /// Per-replica server template. Its `topology` and `owner_hint`
@@ -65,21 +60,9 @@ impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             replicas: 2,
-            shards: 0,
             data_dir: std::env::temp_dir().join("dlr-fleet"),
             base: ServerConfig::default(),
             epoch_sweep: None,
-        }
-    }
-}
-
-impl FleetConfig {
-    /// The ring size after resolving the `0` = per-replica default.
-    pub fn resolved_shards(&self) -> usize {
-        if self.shards > 0 {
-            self.shards
-        } else {
-            self.replicas.max(1)
         }
     }
 }
@@ -187,7 +170,7 @@ impl Drop for Sweeper {
     }
 }
 
-/// A supervised fleet of N `dlr-server` replicas sharing one shard ring.
+/// A supervised fleet of N `dlr-server` replicas sharing one key placement.
 pub struct Fleet<E: Pairing> {
     config: FleetConfig,
     topology: TopologyMsg,
@@ -210,13 +193,12 @@ fn invalid_data<Err: std::fmt::Display>(e: Err) -> io::Error {
 impl<E: Pairing> Fleet<E> {
     /// Spawn the fleet: bind every replica's listener, persist each key's
     /// share under `data_dir`, and start one server thread per replica
-    /// with the keys its ring slice owns.
+    /// with the keys placed on it.
     pub fn spawn(
         config: FleetConfig,
         keys: Vec<(Vec<u8>, PublicKey<E>, Share2<E>)>,
     ) -> io::Result<Self> {
         let replicas = config.replicas.max(1);
-        let shards = config.resolved_shards();
         std::fs::create_dir_all(&config.data_dir)?;
 
         // Bind all listeners before starting any server, so the topology
@@ -230,7 +212,6 @@ impl<E: Pairing> Fleet<E> {
             .collect::<io::Result<_>>()?;
         let topology = TopologyMsg {
             version: WIRE_VERSION,
-            shards: shards as u32,
             replicas: addrs.iter().map(SocketAddr::to_string).collect(),
         };
 
@@ -276,12 +257,9 @@ impl<E: Pairing> Fleet<E> {
 
     /// Build and launch one replica on an already-bound listener.
     fn start_replica(&self, index: usize, listener: TcpListener) -> io::Result<RunningReplica> {
-        let shards = self.topology.shards as usize;
-        let replicas = self.seats.len().max(1);
-
         let mut ring = Keyring::new();
         for key in &self.keys {
-            if shard_of(&key.id, shards) % replicas != index {
+            if self.owner_of(&key.id) != index {
                 continue;
             }
             // Load from disk even on first spawn: the restart path and
@@ -295,11 +273,10 @@ impl<E: Pairing> Fleet<E> {
         config.topology = Some(self.topology.clone());
         let topology = self.topology.clone();
         config.owner_hint = Some(OwnerHint(Arc::new(move |id: &[u8]| {
-            let owner = shard_of(id, shards) % replicas;
-            if owner == index {
-                None // ours but unregistered: a true UnknownKey
-            } else {
-                Some(topology.replicas[owner].clone())
+            match topology.owner_index(id)? {
+                // Ours but unregistered: a true UnknownKey.
+                owner if owner == index => None,
+                owner => Some(topology.replicas[owner].clone()),
             }
         })));
 
@@ -327,9 +304,9 @@ impl<E: Pairing> Fleet<E> {
         self.seats[index].addr
     }
 
-    /// The replica index owning `key_id` on this fleet's ring.
+    /// The replica index owning `key_id` ([`dlr_protocol::place`]).
     pub fn owner_of(&self, key_id: &[u8]) -> usize {
-        shard_of(key_id, self.topology.shards as usize) % self.seats.len().max(1)
+        dlr_protocol::place(key_id, self.seats.len(), 1).0
     }
 
     /// Whether replica `index` currently has a running server.

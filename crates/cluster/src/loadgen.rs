@@ -1,4 +1,4 @@
-//! Closed-loop load generator for a sharded replica fleet.
+//! Closed-loop load generator for a key-partitioned replica fleet.
 //!
 //! The single-server load generator ([`dlr_server::loadgen`]) points every
 //! client at one address. This one hands each client a routed
@@ -20,7 +20,6 @@ use dlr_core::CoreError;
 use dlr_curve::{Group, Pairing};
 use dlr_math::FieldElement;
 use dlr_metrics::Report;
-use dlr_protocol::shard_of;
 use dlr_protocol::transport::{
     new_transcript, RecordingTransport, TcpTransport, Transport, WireStatsHandle,
 };
@@ -122,10 +121,11 @@ pub struct FleetLoadgenOutcome {
     pub reconnects: u64,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
-    /// Per-request latencies, sorted ascending, all shards merged.
+    /// Per-request latencies, sorted ascending, all replicas merged.
     pub latencies_ns: Vec<u64>,
-    /// Per-request latencies keyed by the key's shard, each sorted.
-    pub per_shard: BTreeMap<usize, Vec<u64>>,
+    /// Per-request latencies keyed by the key's owning replica, each
+    /// sorted.
+    pub per_replica: BTreeMap<usize, Vec<u64>>,
     /// Wire statistics merged across all client transports.
     pub wire: WireStats,
     /// Client-side `encrypt` operations timed for the throughput figure.
@@ -158,10 +158,10 @@ impl FleetLoadgenOutcome {
         percentile(&self.latencies_ns, q)
     }
 
-    /// Latency percentile over one shard's samples.
-    pub fn shard_percentile_ns(&self, shard: usize, q: f64) -> u64 {
-        self.per_shard
-            .get(&shard)
+    /// Latency percentile over the samples of keys owned by `replica`.
+    pub fn replica_percentile_ns(&self, replica: usize, q: f64) -> u64 {
+        self.per_replica
+            .get(&replica)
             .map_or(0, |samples| percentile(samples, q))
     }
 
@@ -187,9 +187,9 @@ impl FleetLoadgenOutcome {
     /// Render to a `dlr-metrics` [`Report`].
     ///
     /// Keeps `component = "dlr-loadgen"` and every metadata key the
-    /// single-server generator emits, then adds the fleet axis: replica /
-    /// shard counts, redirect / failover / reconnect counters, and
-    /// per-shard request counts + p50/p95 (`shard<k>_*` keys).
+    /// single-server generator emits, then adds the fleet axis: replica
+    /// count, redirect / failover / reconnect counters, and per-replica
+    /// request counts + p50/p95 (`replica<k>_*` keys).
     pub fn to_report(&self, topology: &TopologyMsg) -> Report {
         let mut report = Report::capture()
             .with_meta("component", "dlr-loadgen")
@@ -213,19 +213,21 @@ impl FleetLoadgenOutcome {
             .with_meta("encrypt_ops", &self.encrypt_ops.to_string())
             .with_meta("encrypt_ops_per_s", &format!("{:.2}", self.encrypt_ops_per_s()))
             .with_meta("fleet_replicas", &topology.replicas.len().to_string())
-            .with_meta("fleet_shards", &topology.shards.to_string())
             .with_meta("redirects", &self.redirects.to_string())
             .with_meta("failovers", &self.failovers.to_string())
             .with_meta("reconnects", &self.reconnects.to_string());
-        for (shard, samples) in &self.per_shard {
+        for (replica, samples) in &self.per_replica {
             report = report
-                .with_meta(&format!("shard{shard}_requests"), &samples.len().to_string())
                 .with_meta(
-                    &format!("shard{shard}_p50_ns"),
+                    &format!("replica{replica}_requests"),
+                    &samples.len().to_string(),
+                )
+                .with_meta(
+                    &format!("replica{replica}_p50_ns"),
                     &percentile(samples, 50.0).to_string(),
                 )
                 .with_meta(
-                    &format!("shard{shard}_p95_ns"),
+                    &format!("replica{replica}_p95_ns"),
                     &percentile(samples, 95.0).to_string(),
                 );
         }
@@ -241,7 +243,7 @@ struct ClientOutcome {
     redirects: u64,
     failovers: u64,
     reconnects: u64,
-    shard: usize,
+    replica: usize,
     latencies_ns: Vec<u64>,
     wire: WireStats,
 }
@@ -326,7 +328,7 @@ pub fn run_fleet_loadgen<E: Pairing, R: rand::RngCore>(
         reconnects: 0,
         elapsed,
         latencies_ns: Vec::new(),
-        per_shard: BTreeMap::new(),
+        per_replica: BTreeMap::new(),
         wire: WireStats::default(),
         encrypt_ops: config.encrypt_ops,
         encrypt_elapsed,
@@ -339,15 +341,15 @@ pub fn run_fleet_loadgen<E: Pairing, R: rand::RngCore>(
         outcome.failovers += client.failovers;
         outcome.reconnects += client.reconnects;
         outcome
-            .per_shard
-            .entry(client.shard)
+            .per_replica
+            .entry(client.replica)
             .or_default()
             .extend(client.latencies_ns.iter().copied());
         outcome.latencies_ns.extend(client.latencies_ns);
         outcome.wire.merge(&client.wire);
     }
     outcome.latencies_ns.sort_unstable();
-    for samples in outcome.per_shard.values_mut() {
+    for samples in outcome.per_replica.values_mut() {
         samples.sort_unstable();
     }
     outcome
@@ -361,7 +363,7 @@ fn client_loop<E: Pairing>(
     message: E::Gt,
     config: &FleetLoadgenConfig,
 ) -> ClientOutcome {
-    let shard = shard_of(&key.id, topology.shards.max(1) as usize);
+    let replica = topology.owner_index(&key.id).unwrap_or(0);
     let mut out = ClientOutcome {
         successes: 0,
         failures: 0,
@@ -369,7 +371,7 @@ fn client_loop<E: Pairing>(
         redirects: 0,
         failovers: 0,
         reconnects: 0,
-        shard,
+        replica,
         latencies_ns: Vec::with_capacity(config.requests_per_client),
         wire: WireStats::default(),
     };
@@ -540,8 +542,6 @@ pub struct FleetFault {
 pub struct FleetLadderConfig {
     /// Replica counts to visit, in order (e.g. `[1, 2, 4]`).
     pub replica_rungs: Vec<usize>,
-    /// Shard-ring size per rung (`0` = one shard per replica).
-    pub shards: usize,
     /// Root directory for per-rung share spools (`<root>/r<N>/`).
     pub data_dir: PathBuf,
     /// Per-replica server template.
@@ -566,7 +566,7 @@ pub struct FleetLadderConfig {
 pub struct FleetLadderRung {
     /// Replica count this rung ran at.
     pub replicas: usize,
-    /// The rung's fleet topology (for shard attribution in reports).
+    /// The rung's fleet topology (for replica attribution in reports).
     pub topology: TopologyMsg,
     /// The routed closed-loop outcome.
     pub outcome: FleetLoadgenOutcome,
@@ -588,7 +588,6 @@ pub fn run_fleet_ladder<E: Pairing, R: rand::RngCore>(
     for &replicas in &config.replica_rungs {
         let fleet_config = FleetConfig {
             replicas,
-            shards: config.shards,
             data_dir: config.data_dir.join(format!("r{replicas}")),
             base: config.base_server.clone(),
             epoch_sweep: config.epoch_sweep,

@@ -1,6 +1,6 @@
 //! End-to-end tests for the dlr-cluster subsystem: routed clients over a
-//! key-sharded fleet, NotMine redirects, mid-load replica failover, and
-//! shard-local epoch boundaries.
+//! key-partitioned fleet, NotMine redirects, mid-load replica failover,
+//! replica-local epoch boundaries, and worker placement inside replicas.
 
 use dlr_cluster::loadgen::{
     run_fleet_ladder, run_fleet_loadgen, FleetFault, FleetKeyMaterial, FleetLadderConfig,
@@ -12,7 +12,7 @@ use dlr_core::driver::{self, RetryPolicy, Router, GENERATION_ANY};
 use dlr_core::params::SchemeParams;
 use dlr_core::CoreError;
 use dlr_curve::{Group, Pairing, Toy};
-use dlr_protocol::shard_of;
+use dlr_protocol::place;
 use dlr_protocol::transport::{TcpTransport, Transport};
 use dlr_server::ServerConfig;
 use rand::SeedableRng;
@@ -28,11 +28,11 @@ fn keygen(seed: u64) -> (PublicKey<E>, Share1<E>, Share2<E>) {
     dlr::keygen::<E, _>(params, &mut r)
 }
 
-/// A key id hashing onto `shard` of a `shards`-wide ring.
-fn id_on_shard(shard: usize, shards: usize) -> Vec<u8> {
+/// A key id placed on `replica` of a `replicas`-strong fleet.
+fn id_on_replica(replica: usize, replicas: usize) -> Vec<u8> {
     (0u32..)
         .map(|n| format!("key-{n}").into_bytes())
-        .find(|id| shard_of(id, shards) == shard)
+        .find(|id| place(id, replicas, 1).0 == replica)
         .unwrap()
 }
 
@@ -68,20 +68,19 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
-/// Two replicas, a key on each shard: the topology is fetchable from any
+/// Two replicas, a key on each: the topology is fetchable from any
 /// replica, correctly-routed clients never redirect, and a stale route is
 /// healed by exactly one NotMine redirect.
 #[test]
 fn routed_clients_reach_sharded_keys() {
     let (pk_a, s1_a, s2_a) = keygen(900);
     let (pk_b, s1_b, s2_b) = keygen(901);
-    let id_a = id_on_shard(0, 2);
-    let id_b = id_on_shard(1, 2);
+    let id_a = id_on_replica(0, 2);
+    let id_b = id_on_replica(1, 2);
 
     let fleet = Fleet::spawn(
         FleetConfig {
             replicas: 2,
-            shards: 0,
             data_dir: temp_dir("smoke"),
             base: quick_config(),
             epoch_sweep: None,
@@ -99,7 +98,6 @@ fn routed_clients_reach_sharded_keys() {
     for i in 0..2 {
         let mut t = connect(&fleet.addr(i).to_string()).unwrap();
         let topo = driver::p1_fetch_topology(t.as_mut()).unwrap();
-        assert_eq!(topo.shards, 2);
         assert_eq!(topo.replicas, fleet.topology().replicas);
     }
 
@@ -143,12 +141,11 @@ fn routed_clients_reach_sharded_keys() {
 #[test]
 fn routed_load_survives_replica_restart() {
     let (pk, s1, s2) = keygen(910);
-    let id = id_on_shard(0, 2);
+    let id = id_on_replica(0, 2);
 
     let mut fleet = Fleet::spawn(
         FleetConfig {
             replicas: 2,
-            shards: 0,
             data_dir: temp_dir("failover"),
             base: quick_config(),
             epoch_sweep: None,
@@ -207,20 +204,19 @@ fn routed_load_survives_replica_restart() {
     fleet.shutdown().unwrap();
 }
 
-/// Epoch boundaries are shard-local: kicking the shard of key A advances
-/// only its owning replica's epoch; a live session decrypting key B on
+/// Epoch boundaries are replica-local: kicking key A's replica advances
+/// only that replica's epoch; a live session decrypting key B on
 /// the other replica sees no stall, no reconnect, and no epoch movement.
 #[test]
-fn epoch_refresh_is_shard_local() {
+fn epoch_refresh_is_replica_local() {
     let (pk_a, _s1_a, s2_a) = keygen(920);
     let (pk_b, s1_b, s2_b) = keygen(921);
-    let id_a = id_on_shard(0, 2);
-    let id_b = id_on_shard(1, 2);
+    let id_a = id_on_replica(0, 2);
+    let id_b = id_on_replica(1, 2);
 
     let fleet = Fleet::spawn(
         FleetConfig {
             replicas: 2,
-            shards: 0,
             data_dir: temp_dir("epoch"),
             base: quick_config(),
             epoch_sweep: None,
@@ -244,7 +240,7 @@ fn epoch_refresh_is_shard_local() {
     let (kicked, epoch_after) = coordinator
         .kick_shard_sync(0, Duration::from_secs(5))
         .unwrap();
-    assert_eq!(kicked, 0, "shard 0 is owned by replica 0");
+    assert_eq!(kicked, 0, "slot 0 is replica 0");
     assert!(epoch_after > epochs_before[0].unwrap());
 
     // Replica 1 never saw a boundary, and the open session keeps serving
@@ -257,7 +253,7 @@ fn epoch_refresh_is_shard_local() {
         );
     }
 
-    // kick_key resolves through the ring to the same owner.
+    // kick_key resolves the key's placement to the same owner.
     let replica = coordinator.kick_key(&id_a).unwrap();
     assert_eq!(replica, 0);
 
@@ -274,13 +270,12 @@ fn epoch_refresh_is_shard_local() {
 fn timed_epoch_sweep_never_blocks_live_decrypts() {
     let (pk_a, _s1_a, s2_a) = keygen(940);
     let (pk_b, s1_b, s2_b) = keygen(941);
-    let id_a = id_on_shard(0, 2);
-    let id_b = id_on_shard(1, 2);
+    let id_a = id_on_replica(0, 2);
+    let id_b = id_on_replica(1, 2);
 
     let mut fleet = Fleet::spawn(
         FleetConfig {
             replicas: 2,
-            shards: 0,
             data_dir: temp_dir("sweep"),
             base: quick_config(),
             epoch_sweep: Some(Duration::from_millis(60)),
@@ -300,7 +295,7 @@ fn timed_epoch_sweep_never_blocks_live_decrypts() {
     // Decrypt continuously until two complete waves have been issued. A
     // sweep kicks BOTH replicas (including the one serving this session),
     // so a bounded per-request latency here proves boundaries are
-    // asynchronous and shard-local — mid-sweep decrypts never block.
+    // asynchronous and replica-local — mid-sweep decrypts never block.
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut max_latency = Duration::ZERO;
     while fleet.epoch_sweeps() < 2 {
@@ -352,12 +347,12 @@ fn timed_epoch_sweep_never_blocks_live_decrypts() {
 }
 
 /// The replica ladder completes a faulted rung: a mid-rung restart is
-/// absorbed (no abort, no panics) and the rung still reports per-shard
+/// absorbed (no abort, no panics) and the rung still reports per-replica
 /// latencies.
 #[test]
 fn fleet_ladder_tolerates_faulted_rung() {
     let (pk, s1, s2) = keygen(930);
-    let id = id_on_shard(0, 2);
+    let id = id_on_replica(0, 2);
     let keys = vec![FleetLadderKey {
         id,
         pk,
@@ -366,7 +361,6 @@ fn fleet_ladder_tolerates_faulted_rung() {
     }];
     let config = FleetLadderConfig {
         replica_rungs: vec![1, 2],
-        shards: 0,
         data_dir: temp_dir("ladder"),
         base_server: quick_config(),
         base: FleetLoadgenConfig {
@@ -403,5 +397,64 @@ fn fleet_ladder_tolerates_faulted_rung() {
     assert_eq!(rungs[1].outcome.client_panics, 0);
     assert_eq!(rungs[1].outcome.mismatches, 0);
     assert_eq!(rungs[1].outcome.failures, 0);
-    assert!(!rungs[1].outcome.per_shard.is_empty());
+    assert!(!rungs[1].outcome.per_replica.is_empty());
+}
+
+/// Replica and worker placement are independent: with two replicas of two
+/// workers each, routed decrypts on eight keys reach every worker of every
+/// replica. Reducing one hash modulo both counts would leave replica `i`
+/// only worker `i`.
+#[test]
+fn every_worker_of_every_replica_owns_keys() {
+    const KEYS: u64 = 8;
+    let keys: Vec<FleetLadderKey<E>> = (0..KEYS)
+        .map(|i| {
+            let (pk, share1, share2) = keygen(950 + i);
+            FleetLadderKey {
+                id: format!("key-{i}").into_bytes(),
+                pk,
+                share1,
+                share2,
+            }
+        })
+        .collect();
+    let fleet = Fleet::spawn(
+        FleetConfig {
+            replicas: 2,
+            data_dir: temp_dir("workers"),
+            base: ServerConfig {
+                workers: 2,
+                ..quick_config()
+            },
+            epoch_sweep: None,
+        },
+        keys.iter()
+            .map(|k| (k.id.clone(), k.pk.clone(), k.share2.clone()))
+            .collect(),
+    )
+    .unwrap();
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+    let mut router = Router::new(fleet.topology().clone(), fast_retry());
+    for key in &keys {
+        let message = <E as Pairing>::Gt::random(&mut rng);
+        let ct = dlr::encrypt(&key.pk, &message, &mut rng);
+        let mut p1 = Party1::new(key.pk.clone(), key.share1.clone());
+        let got = router
+            .decrypt(&mut p1, &ct, &key.id, &mut connect, &mut rng)
+            .unwrap();
+        assert_eq!(got, message);
+    }
+
+    for (replica, history) in fleet.shutdown().unwrap().iter().enumerate() {
+        let stats = history.last().unwrap();
+        assert_eq!(stats.workers.len(), 2);
+        for (worker, counters) in stats.workers.iter().enumerate() {
+            assert!(
+                counters.requests > 0,
+                "worker {worker} of replica {replica} served no request: {:?}",
+                stats.workers
+            );
+        }
+    }
 }

@@ -31,8 +31,9 @@ use dlr_protocol::{Decoder, Encoder, Transport, TransportError};
 use rand::RngCore;
 use std::time::Duration;
 
-/// Wire protocol version announced in [`HelloMsg`].
-pub const WIRE_VERSION: u8 = 1;
+/// Wire protocol version announced in [`HelloMsg`] and [`TopologyMsg`].
+/// Version 2 dropped the shard-ring size from the topology body.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Hello generation wildcard: "bind me to whatever generation is current".
 pub const GENERATION_ANY: u64 = u64::MAX;
@@ -113,9 +114,9 @@ pub enum ErrorCode {
     Busy = 5,
     /// The server failed internally while serving the request.
     Internal = 6,
-    /// The key id hashes to a shard owned by a *different* replica of the
-    /// fleet. The reply's detail field carries the owning replica's
-    /// address (`owner_hint`) — re-route there ([`Router`] does this and
+    /// The key id is placed on a *different* replica of the fleet. The
+    /// reply's detail field carries the owning replica's address
+    /// (`owner_hint`) — re-route there ([`Router`] does this and
     /// invalidates its cached route).
     NotMine = 7,
 }
@@ -191,17 +192,15 @@ impl HelloMsg {
 
 /// Cluster topology: how key ids map onto fleet replicas.
 ///
-/// Replica `i` owns every key id with
-/// `shard_of(id, shards) % replicas.len() == i` — the same FNV-1a ring the
-/// server keyring shards by, so client-side routing and server-side
-/// ownership agree byte-for-byte. Served as the reply body of
-/// [`RequestTag::Topology`]; any replica can answer for the whole fleet.
+/// Replica `i` owns every key id whose [`dlr_protocol::place`] replica is
+/// `i` — the same function the fleet and every server place keys with, so
+/// client-side routing and server-side ownership agree byte-for-byte.
+/// Served as the reply body of [`RequestTag::Topology`]; any replica can
+/// answer for the whole fleet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopologyMsg {
     /// Wire protocol version ([`WIRE_VERSION`]).
     pub version: u8,
-    /// Total shard count of the ring (≥ replica count in practice).
-    pub shards: u32,
     /// Replica addresses, indexed by replica number.
     pub replicas: Vec<String>,
 }
@@ -210,7 +209,7 @@ impl TopologyMsg {
     /// Serialize the topology body.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
-        enc.put_u8(self.version).put_u32(self.shards);
+        enc.put_u8(self.version);
         enc.put_bytes_seq(self.replicas.iter().map(String::as_bytes));
         enc.finish()
     }
@@ -222,7 +221,6 @@ impl TopologyMsg {
         if version != WIRE_VERSION {
             return Err(CoreError::Protocol("unsupported wire version"));
         }
-        let shards = dec.get_u32()?;
         let mut replicas = Vec::new();
         for raw in dec.get_bytes_seq()? {
             let addr = std::str::from_utf8(raw)
@@ -230,16 +228,7 @@ impl TopologyMsg {
             replicas.push(addr.to_string());
         }
         dec.finish()?;
-        Ok(Self {
-            version,
-            shards,
-            replicas,
-        })
-    }
-
-    /// The shard a key id hashes to on this ring.
-    pub fn shard_of(&self, key_id: &[u8]) -> usize {
-        dlr_protocol::shard_of(key_id, self.shards.max(1) as usize)
+        Ok(Self { version, replicas })
     }
 
     /// The replica index owning `key_id`, or `None` for an empty fleet.
@@ -247,7 +236,7 @@ impl TopologyMsg {
         if self.replicas.is_empty() {
             return None;
         }
-        Some(self.shard_of(key_id) % self.replicas.len())
+        Some(dlr_protocol::place(key_id, self.replicas.len(), 1).0)
     }
 
     /// The address of the replica owning `key_id`.
@@ -497,9 +486,9 @@ pub fn p1_decrypt_with_retry<E: Pairing, R: RngCore + ?Sized>(
 
 /// Topology-aware client-side router for a key-sharded fleet.
 ///
-/// Routes each key id to the replica that owns its shard (per
-/// [`TopologyMsg`]), keeping a per-key route cache on top of the computed
-/// ring position. A [`ErrorCode::NotMine`] reply carries the owning
+/// Routes each key id to the replica that owns it (per
+/// [`TopologyMsg::owner_index`]), keeping a per-key route cache on top of
+/// the computed owner. A [`ErrorCode::NotMine`] reply carries the owning
 /// replica's address in its detail field: the router counts it as a
 /// *redirect*, replaces the cached route with the hint, and re-routes
 /// immediately (no backoff — a redirect is information, not a failure).
@@ -557,7 +546,7 @@ impl Router {
     }
 
     /// The address the next attempt for `key_id` goes to: the cached
-    /// route if one exists, else the ring-computed owner.
+    /// route if one exists, else the computed owner.
     pub fn route(&self, key_id: &[u8]) -> Result<&str, CoreError> {
         if let Some(addr) = self.cache.get(key_id) {
             return Ok(addr.as_str());
@@ -581,7 +570,7 @@ impl Router {
     }
 
     /// Record a routed-attempt failure: the cached route is dropped so the
-    /// next attempt falls back to the ring-computed owner.
+    /// next attempt falls back to the computed owner.
     pub fn note_failure(&mut self, key_id: &[u8]) {
         self.failovers += 1;
         self.cache.remove(key_id);
@@ -1088,23 +1077,20 @@ mod tests {
     fn topology_msg_round_trips_and_maps_owners() {
         let topo = TopologyMsg {
             version: WIRE_VERSION,
-            shards: 8,
             replicas: vec!["127.0.0.1:9001".into(), "127.0.0.1:9002".into()],
         };
         let parsed = TopologyMsg::from_bytes(&topo.to_bytes()).unwrap();
         assert_eq!(parsed, topo);
 
-        // ownership agrees with the canonical ring hash
+        // ownership agrees with the canonical placement
         for id in [b"alpha".as_slice(), b"beta", b"key-17"] {
-            let shard = dlr_protocol::shard_of(id, 8);
-            assert_eq!(topo.shard_of(id), shard);
-            assert_eq!(topo.owner_index(id), Some(shard % 2));
-            assert_eq!(topo.owner_addr(id), Some(topo.replicas[shard % 2].as_str()));
+            let (owner, _) = dlr_protocol::place(id, 2, 1);
+            assert_eq!(topo.owner_index(id), Some(owner));
+            assert_eq!(topo.owner_addr(id), Some(topo.replicas[owner].as_str()));
         }
 
         let empty = TopologyMsg {
             version: WIRE_VERSION,
-            shards: 4,
             replicas: vec![],
         };
         assert_eq!(empty.owner_index(b"x"), None);
@@ -1138,7 +1124,6 @@ mod tests {
     fn router_follows_not_mine_hint_and_updates_cache() {
         let topo = TopologyMsg {
             version: WIRE_VERSION,
-            shards: 2,
             replicas: vec!["replica-a".into(), "replica-b".into()],
         };
         let mut router = Router::new(topo, RetryPolicy::default());
@@ -1165,7 +1150,6 @@ mod tests {
     fn router_fails_over_to_computed_owner_after_connect_failure() {
         let topo = TopologyMsg {
             version: WIRE_VERSION,
-            shards: 2,
             replicas: vec!["replica-a".into(), "replica-b".into()],
         };
         let owner = topo.owner_addr(b"k").unwrap().to_string();
@@ -1199,7 +1183,6 @@ mod tests {
     fn router_detects_hint_cycles() {
         let topo = TopologyMsg {
             version: WIRE_VERSION,
-            shards: 2,
             replicas: vec!["replica-a".into(), "replica-b".into()],
         };
         let mut router = Router::new(topo, RetryPolicy::default());

@@ -101,21 +101,6 @@ pub fn count_pairing() {
     PAIRING.with(|c| c.set(c.get() + 1));
 }
 
-/// Fold a whole [`OpsReport`] into this thread's counters.
-///
-/// This is the merge half of parallel fan-out: worker threads bump their
-/// *own* thread-local counters, the spawning code captures each worker's
-/// delta with [`measure`], and replays the deltas here so the calling
-/// thread's span accounting (see `dlr-metrics`) stays exact — a parallel
-/// execution reports byte-identical op deltas to the sequential one.
-pub fn add_report(r: OpsReport) {
-    G_OP.with(|c| c.set(c.get() + r.g_op));
-    G_POW.with(|c| c.set(c.get() + r.g_pow));
-    GT_OP.with(|c| c.set(c.get() + r.gt_op));
-    GT_POW.with(|c| c.set(c.get() + r.gt_pow));
-    PAIRING.with(|c| c.set(c.get() + r.pairings));
-}
-
 /// Read the current counter values for this thread.
 pub fn snapshot() -> OpsReport {
     OpsReport {
@@ -167,23 +152,5 @@ mod tests {
     fn display_is_nonempty() {
         let s = snapshot().to_string();
         assert!(s.contains("pairings="));
-    }
-
-    #[test]
-    fn add_report_replays_deltas() {
-        let (_, report) = measure(|| {
-            add_report(OpsReport {
-                g_op: 1,
-                g_pow: 2,
-                gt_op: 3,
-                gt_pow: 4,
-                pairings: 5,
-            });
-        });
-        assert_eq!(report.g_op, 1);
-        assert_eq!(report.g_pow, 2);
-        assert_eq!(report.gt_op, 3);
-        assert_eq!(report.gt_pow, 4);
-        assert_eq!(report.pairings, 5);
     }
 }

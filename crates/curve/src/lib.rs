@@ -23,8 +23,6 @@
 //!   final exponentiation);
 //! * [`prepared`] — [`PreparedPoint`]: cache the Miller line coefficients
 //!   of a fixed first argument and replay them per second argument;
-//! * [`parallel`] — opt-in scoped-thread fan-out for batched pairings with
-//!   exact counter merging;
 //! * [`multiexp`] — size-adaptive multi-exponentiation (Pippenger bucket
 //!   windows, Straus interleaving below the crossover);
 //! * [`batch`] — [`BatchDecryptCtx`]: per-key shared exponent recoding and
@@ -57,7 +55,6 @@ pub mod gt;
 pub mod modgroup;
 pub mod multiexp;
 pub mod pairing;
-pub mod parallel;
 pub mod params;
 pub mod prepared;
 pub mod traits;
@@ -67,7 +64,6 @@ pub use batch::BatchDecryptCtx;
 pub use curve::G;
 pub use fixedbase::{FixedBase, LazyFixedBase};
 pub use gt::Gt;
-pub use parallel::{parallel_threads, set_parallel_threads};
 pub use params::{ParamCaches, Ss1024, Ss512, Ss768, SsParams, Toy};
 pub use prepared::{LazyPreparedBatch, PreparedPoint};
 pub use traits::{Group, GroupKind, Pairing};

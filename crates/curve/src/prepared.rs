@@ -17,10 +17,7 @@
 //! including the identity and points outside the order-`r` subgroup.
 //!
 //! [`PreparedPoint::multi_pairing`] additionally batches the final
-//! exponentiations (one shared `F_{p²}` inversion via Montgomery's trick)
-//! and, when enabled through [`crate::parallel::set_parallel_threads`],
-//! fans the evaluations out over scoped worker threads with exact operation
-//! accounting (see [`crate::parallel`]).
+//! exponentiations (one shared `F_{p²}` inversion via Montgomery's trick).
 //!
 //! ## Counter semantics
 //!
@@ -34,14 +31,13 @@ use crate::curve::G;
 use crate::gt::Gt;
 use crate::pairing::{batch_final_exponentiation, final_exponentiation, miller_chain, Affine, MillerOp};
 use crate::params::SsParams;
-use crate::parallel;
 use crate::traits::Group;
 use dlr_math::{FieldElement, Fp2};
 
 /// A first pairing argument with its Miller chain walked and cached.
 ///
 /// Cheap to clone (one `Vec` of `F_p` pairs) and `Send + Sync`, so a single
-/// preparation can be shared across the parallel fan-out workers.
+/// preparation can be shared across threads.
 #[derive(Clone, Debug)]
 pub struct PreparedPoint<P: SsParams> {
     /// The cached accumulator ops, in chain order.
@@ -113,17 +109,9 @@ impl<P: SsParams> PreparedPoint<P> {
         final_exponentiation::<P>(f)
     }
 
-    /// `[ê(P, q) for q in qs]` with one cached Miller chain, batched final
-    /// exponentiation, and (opt-in) parallel fan-out over the evaluations.
-    ///
-    /// Bumps `pairings` once per element of `qs`, on the calling thread's
-    /// counters even when workers do the arithmetic.
+    /// `[ê(P, q) for q in qs]` with one cached Miller chain and batched
+    /// final exponentiation. Bumps `pairings` once per element of `qs`.
     pub fn multi_pairing(&self, qs: &[G<P>]) -> Vec<Gt<P>> {
-        parallel::fan_out_chunks(qs, |chunk| self.multi_pairing_serial(chunk))
-    }
-
-    /// Sequential chunk evaluator behind [`Self::multi_pairing`].
-    fn multi_pairing_serial(&self, qs: &[G<P>]) -> Vec<Gt<P>> {
         let millers: Vec<Fp2<P::Fp>> =
             qs.iter().map(|q| self.miller_or_sentinel(q)).collect();
         batch_final_exponentiation::<P>(&millers)
@@ -212,16 +200,13 @@ impl<E: crate::traits::Pairing> core::hash::Hash for LazyPreparedBatch<E> {
 
 /// `[ê(P_k, q) for each cached chain]`: many **prepared** first arguments
 /// against one shared second argument, with batched final exponentiation
-/// and the same opt-in parallel fan-out as
-/// [`PreparedPoint::multi_pairing`]. This is the steady-state shape of the
+/// as in [`PreparedPoint::multi_pairing`]. This is the steady-state shape of the
 /// prepared-key cache: the per-key fixed points are prepared once and the
 /// fresh ciphertext component slots in as `q` (by pairing symmetry on the
 /// Type-1 map). Bumps `pairings` once per cached chain.
 pub fn multi_pairing_many<P: SsParams>(preps: &[PreparedPoint<P>], q: &G<P>) -> Vec<Gt<P>> {
-    parallel::fan_out_chunks(preps, |chunk| {
-        let millers: Vec<Fp2<P::Fp>> = chunk.iter().map(|p| p.miller_or_sentinel(q)).collect();
-        batch_final_exponentiation::<P>(&millers)
-    })
+    let millers: Vec<Fp2<P::Fp>> = preps.iter().map(|p| p.miller_or_sentinel(q)).collect();
+    batch_final_exponentiation::<P>(&millers)
 }
 
 #[cfg(test)]
@@ -296,31 +281,6 @@ mod tests {
         let batched = prep_oos.multi_pairing(&[p, oos]);
         assert_eq!(batched[0], tate_pairing::<Toy>(&oos, &p));
         assert_eq!(batched[1], tate_pairing::<Toy>(&oos, &oos));
-    }
-
-    #[test]
-    fn multi_pairing_parallel_matches_sequential() {
-        // Byte-identical results AND op deltas under the thread fan-out.
-        struct Guard;
-        impl Drop for Guard {
-            fn drop(&mut self) {
-                crate::parallel::set_parallel_threads(0);
-            }
-        }
-        let _guard = Guard;
-        let mut r = rng();
-        let p = G::<Toy>::random(&mut r);
-        let qs: Vec<G<Toy>> = (0..13).map(|_| G::<Toy>::random(&mut r)).collect();
-        let prep = PreparedPoint::<Toy>::prepare(&p);
-
-        crate::parallel::set_parallel_threads(0);
-        let (seq, seq_ops) = counters::measure(|| prep.multi_pairing(&qs));
-        crate::parallel::set_parallel_threads(4);
-        let (par, par_ops) = counters::measure(|| prep.multi_pairing(&qs));
-
-        assert_eq!(seq, par);
-        assert_eq!(seq_ops, par_ops);
-        assert_eq!(par_ops.pairings, qs.len() as u64);
     }
 
     #[test]

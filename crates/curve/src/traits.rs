@@ -283,9 +283,7 @@ pub trait Pairing: Sized + Send + Sync + 'static {
 
     /// `[e(p, q) for q in qs]` sharing `p`'s precomputation. Counts one
     /// pairing per element of `qs`; backends may batch the final
-    /// exponentiations and fan the evaluations out over worker threads
-    /// (with counter deltas merged back, see `dlr-curve`'s `parallel`
-    /// module) — the results and op counts never change.
+    /// exponentiations — the results and op counts never change.
     fn multi_pair_prepared(prep: &Self::Prepared, qs: &[Self::G2]) -> Vec<Self::Gt> {
         qs.iter().map(|q| Self::pair_prepared(prep, q)).collect()
     }

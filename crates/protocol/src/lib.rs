@@ -52,18 +52,56 @@ pub use runtime::{run_pair, RunOutput};
 pub use transport::{duplex, FrameReader, FrameWriter, Transport, TransportError, WireStats};
 pub use wire::{CodecError, Decoder, Encoder};
 
-/// Which shard a key id belongs to, out of `shards` total.
+/// The owner of a key: `(replica, worker)` for a fleet of `replicas`
+/// servers with `workers` event loops each.
 ///
-/// FNV-1a over the id bytes, reduced modulo the shard count — stable
-/// across runs and platforms, so tests and operators can predict key
-/// placement, and shared between the server keyring and the client-side
-/// cluster router (both sides of the wire must agree on the ring).
-/// `shards == 0` is treated as a single shard.
-pub fn shard_of(id: &[u8], shards: usize) -> usize {
+/// The one key → owner function of the workspace. The paper's leakage
+/// periods are per key (Def. 3.1), so each key's `P2` share lives on
+/// exactly one replica and one worker loop, where its refresh serialises
+/// against its own decrypts; the client-side router, the fleet supervisor
+/// and the server's worker map all ask this function. FNV-1a over the id
+/// bytes gives `h`; the replica is `h % replicas` and the worker
+/// `(h / replicas) % workers`, so the two are independent and every
+/// worker of every replica receives keys. Stable across runs and
+/// platforms. A count of `0` is treated as `1`.
+pub fn place(key_id: &[u8], replicas: usize, workers: usize) -> (usize, usize) {
+    let h = fnv1a(key_id);
+    let (replicas, workers) = (replicas.max(1) as u64, workers.max(1) as u64);
+    ((h % replicas) as usize, (h / replicas % workers) as usize)
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in id {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    (h % shards.max(1) as u64) as usize
+    h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn place_covers_every_owner_and_keeps_the_replica_ring() {
+        let ids: Vec<Vec<u8>> = (0..256).map(|i| format!("key-{i}").into_bytes()).collect();
+        for replicas in 1..=4 {
+            for workers in 1..=4 {
+                let mut owned = vec![vec![0u32; workers]; replicas];
+                for id in &ids {
+                    let (r, w) = place(id, replicas, workers);
+                    assert_eq!(r as u64, fnv1a(id) % replicas as u64);
+                    assert_eq!(place(id, replicas, workers), (r, w), "deterministic");
+                    owned[r][w] += 1;
+                }
+                for (r, row) in owned.iter().enumerate() {
+                    for (w, &n) in row.iter().enumerate() {
+                        assert!(n > 0, "R={replicas} W={workers}: ({r},{w}) owns no id");
+                    }
+                }
+            }
+        }
+        assert_eq!(place(b"anything", 0, 0), (0, 0));
+    }
 }

@@ -13,8 +13,8 @@
 //! ## Durability
 //!
 //! A key registered with a persist path gets its refreshed [`Share2`]
-//! written **atomically** (temp file + rename) the moment the refresh
-//! completes, while the generation lock is still held. A crash at any
+//! written **atomically** (temp file + rename + directory fsync) the
+//! moment the refresh completes, while the generation lock is still held. A crash at any
 //! point leaves the share file either at the old or the new generation —
 //! never truncated, never torn. This is the §4.4 period structure: the
 //! share on disk is the device's long-term secret state, and rolling it
@@ -110,8 +110,10 @@ impl<E: Pairing> KeyEntry<E> {
 }
 
 /// Write `bytes` to `path` atomically: write + fsync a sibling temp file,
-/// then rename over the target. Readers (and a crash-restarted server)
-/// observe either the old or the new content, never a torn write.
+/// rename it over the target, then fsync the directory so the rename
+/// itself survives a crash. Readers (and a crash-restarted server)
+/// observe either the old or the new content, never a torn write, and a
+/// refresh that returned is not rolled back by a power cut.
 pub fn persist_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
     use std::io::Write as _;
     let mut tmp = path.as_os_str().to_owned();
@@ -123,7 +125,11 @@ pub fn persist_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
         file.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
-    Ok(())
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// The server's key registry. Insertion order defines the default key
@@ -233,13 +239,6 @@ impl<E: Pairing> Keyring<E> {
     }
 }
 
-/// Which shard a key id belongs to, out of `shards` total.
-///
-/// Re-exported from `dlr-protocol`, where the FNV-1a ring hash lives so
-/// that client-side routing ([`dlr_core::driver::TopologyMsg`]) and
-/// server-side keyring placement agree byte-for-byte.
-pub use dlr_protocol::shard_of;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,19 +253,6 @@ mod tests {
         let mut r = rand::rngs::StdRng::seed_from_u64(seed);
         let params = SchemeParams::derive::<<E as Pairing>::Scalar>(16, 64);
         dlr::keygen::<E, _>(params, &mut r)
-    }
-
-    #[test]
-    fn shard_of_is_stable_and_in_range() {
-        for shards in [1usize, 2, 3, 8] {
-            for id in [b"alpha".as_slice(), b"beta", b"", b"k-0123456789"] {
-                let s = shard_of(id, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_of(id, shards), "deterministic");
-            }
-        }
-        // degenerate count treated as one shard
-        assert_eq!(shard_of(b"anything", 0), 0);
     }
 
     #[test]

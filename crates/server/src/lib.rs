@@ -5,12 +5,12 @@
 //! production-shaped network service:
 //!
 //! * [`keyring`] — key id → `(PublicKey, Party2)` registry with a per-key
-//!   **generation lock** and atomic (temp-file + rename) share
-//!   persistence;
+//!   **generation lock** and atomic (temp-file + rename + directory
+//!   fsync) share persistence;
 //! * [`server`] — readiness event loops (vendored epoll/kqueue poller)
 //!   driving nonblocking per-connection frame state machines across a
-//!   fixed set of workers, with the keyring **sharded** by key id across
-//!   those workers, versioned hello/key-selection, structured error
+//!   fixed set of workers, each key owned by one of them
+//!   ([`dlr_protocol::place`]), versioned hello/key-selection, structured error
 //!   replies, an **epoch scheduler** marking leakage-period boundaries,
 //!   periodic stats dumps, and graceful drain-persist-exit shutdown;
 //! * [`loadgen`] — closed-loop multi-client load generator emitting
@@ -30,11 +30,11 @@ pub mod keyring;
 pub mod loadgen;
 pub mod server;
 
-pub use keyring::{persist_atomically, shard_of, KeyEntry, KeyState, Keyring};
+pub use keyring::{persist_atomically, KeyEntry, KeyState, Keyring};
 pub use loadgen::{
     run_loadgen, run_loadgen_ladder, LadderConfig, LadderRung, LoadgenConfig, LoadgenOutcome,
 };
 pub use server::{
-    EpochHook, OwnerHint, Server, ServerConfig, ServerHandle, ServerStats, ShardSnapshot,
-    StatsSnapshot,
+    EpochHook, OwnerHint, Server, ServerConfig, ServerHandle, ServerStats, StatsSnapshot,
+    WorkerSnapshot,
 };

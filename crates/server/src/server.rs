@@ -1,4 +1,4 @@
-//! The concurrent `P2` service: readiness event loops, sharded keyring
+//! The concurrent `P2` service: readiness event loops, per-worker key
 //! ownership, epoch scheduler, and aggregated statistics.
 //!
 //! ## Threading model
@@ -24,24 +24,24 @@
 //! adversarial rejected client is dropped at the deadline and can never
 //! head-of-line-block the accept path.
 //!
-//! ## Keyring sharding
+//! ## Key placement
 //!
-//! Keys are sharded by id ([`crate::keyring::shard_of`], FNV-1a over the
-//! key id modulo [`ServerConfig::shards`]) and each shard is owned by
-//! worker `shard % workers`. After a connection's first served request
-//! binds it to a key, the connection **migrates** to that key's owner
-//! worker (its socket, buffered partial frames, and statistics travel
-//! with it). Steady-state, every session touching a key runs on one
+//! Each key is owned by one worker: the worker half of
+//! [`dlr_protocol::place`]`(id, replicas, workers)`, where `replicas` is
+//! the replica count of the served topology (1 for a standalone server).
+//! After a connection's first served request binds it to a key, the
+//! connection **migrates** to that key's owner worker (its socket,
+//! buffered partial frames, and statistics travel with it). Steady-state, every session touching a key runs on one
 //! loop, so the per-key generation lock is only ever taken from a single
-//! thread — a long refresh on shard A cannot stall decrypts on shard B,
-//! because they execute on different workers with no shared lock.
+//! thread — a long refresh on key A cannot stall decrypts on key B owned
+//! by another worker, because they share no loop and no lock.
 //!
 //! A background **epoch scheduler** thread marks leakage-period
 //! boundaries (paper §4.4): every [`ServerConfig::epoch_interval`] (or on
 //! [`ServerHandle::force_epoch`]) it bumps the epoch counter, wakes every
 //! worker loop through its poller's eventfd/pipe (each worker re-warms
-//! its own shards' fixed-base tables outside any lock and records the
-//! boundary in its shard statistics), and invokes the registered epoch
+//! its own keys' fixed-base tables outside any lock and records the
+//! boundary in its worker statistics), and invokes the registered epoch
 //! hook. The hook is where deployment-specific refresh coordination
 //! lives — refresh is a *two-party* protocol, so the scheduler cannot
 //! rotate the share alone; the hook typically nudges the `P1` co-device,
@@ -78,7 +78,7 @@
 //! from mismatched shares. The session stays open — the client re-hellos
 //! (with its refreshed `P1` share) and continues.
 
-use crate::keyring::{persist_atomically, shard_of, KeyEntry, Keyring};
+use crate::keyring::{persist_atomically, KeyEntry, Keyring};
 use bytes::Bytes;
 use dlr_core::driver::{
     error_reply, error_reply_for, ok_reply, p2_handle_decrypt_batch, p2_handle_frame, ErrorCode,
@@ -144,9 +144,6 @@ pub struct ServerConfig {
     /// Worker event loops. `0` = auto (available parallelism, clamped to
     /// `1..=4`).
     pub workers: usize,
-    /// Keyring shards (each owned by worker `shard % workers`). `0` =
-    /// one per worker.
-    pub shards: usize,
     /// Leakage-period length: the epoch scheduler fires every interval.
     /// `None` disables timed epochs ([`ServerHandle::force_epoch`] still
     /// works).
@@ -162,6 +159,8 @@ pub struct ServerConfig {
     /// Fleet topology served on [`RequestTag::Topology`]. `None` (the
     /// standalone default) synthesizes a single-replica topology from the
     /// bound address at construction time, so the fetch always works.
+    /// Its replica count is the `replicas` of [`dlr_protocol::place`]
+    /// when the server assigns keys to workers.
     pub topology: Option<TopologyMsg>,
     /// Cluster ownership oracle for [`ErrorCode::NotMine`] replies on
     /// hello misses; `None` (standalone) answers `UnknownKey` as before.
@@ -191,7 +190,6 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(10),
             reject_write_timeout: Duration::from_millis(300),
             workers: 0,
-            shards: 0,
             epoch_interval: None,
             stats_interval: None,
             stats_path: None,
@@ -217,15 +215,6 @@ impl ServerConfig {
         }
     }
 
-    /// The shard count after resolving the `0` = per-worker default.
-    pub fn resolved_shards(&self) -> usize {
-        if self.shards > 0 {
-            self.shards
-        } else {
-            self.resolved_workers()
-        }
-    }
-
     /// Whether the cross-request batch executor is active (`batch_max`
     /// anything but the inline default of 1).
     pub fn batching_enabled(&self) -> bool {
@@ -246,11 +235,11 @@ impl ServerConfig {
 /// stats — a long-lived server must not grow its sample buffer forever.
 const MAX_LATENCY_SAMPLES: usize = 8192;
 
-/// Per-shard service counters (sessions/requests attributed to the shard
-/// a connection's bound key hashes to; epochs observed by the owning
-/// worker loop).
+/// Per-worker service counters (sessions/requests attributed to the
+/// worker owning a connection's bound key; epochs observed by that
+/// worker's loop).
 #[derive(Debug, Default)]
-struct ShardStats {
+struct WorkerStats {
     sessions: AtomicU64,
     requests: AtomicU64,
     epochs: AtomicU64,
@@ -281,7 +270,7 @@ pub struct ServerStats {
     batch_flushes_idle: AtomicU64,
     batch_size_hist: [AtomicU64; BATCH_HIST_BUCKETS],
     last_panic: parking_lot::Mutex<Option<String>>,
-    shards: Vec<ShardStats>,
+    workers: Vec<WorkerStats>,
     wire: parking_lot::Mutex<WireStats>,
 }
 
@@ -303,9 +292,9 @@ fn batch_hist_bucket(n: usize) -> usize {
 }
 
 impl ServerStats {
-    fn with_shards(shards: usize) -> Self {
+    fn with_workers(workers: usize) -> Self {
         Self {
-            shards: (0..shards).map(|_| ShardStats::default()).collect(),
+            workers: (0..workers).map(|_| WorkerStats::default()).collect(),
             ..Self::default()
         }
     }
@@ -358,10 +347,10 @@ impl ServerStats {
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
             last_panic: self.last_panic.lock().clone(),
-            shards: self
-                .shards
+            workers: self
+                .workers
                 .iter()
-                .map(|s| ShardSnapshot {
+                .map(|s| WorkerSnapshot {
                     sessions: s.sessions.load(Ordering::Relaxed),
                     requests: s.requests.load(Ordering::Relaxed),
                     epochs: s.epochs.load(Ordering::Relaxed),
@@ -372,14 +361,14 @@ impl ServerStats {
     }
 }
 
-/// Plain-value copy of one shard's counters.
+/// Plain-value copy of one worker's counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardSnapshot {
-    /// Sessions whose bound key hashed to this shard.
+pub struct WorkerSnapshot {
+    /// Sessions whose bound key this worker owns.
     pub sessions: u64,
-    /// Requests served against this shard's keys.
+    /// Requests served against this worker's keys.
     pub requests: u64,
-    /// Epoch boundaries observed by the owning worker loop.
+    /// Epoch boundaries observed by this worker's loop.
     pub epochs: u64,
 }
 
@@ -440,8 +429,8 @@ pub struct StatsSnapshot {
     pub batch_size_hist: Vec<u64>,
     /// Message of the most recent dispatch panic, if any.
     pub last_panic: Option<String>,
-    /// Per-shard counters, indexed by shard id.
-    pub shards: Vec<ShardSnapshot>,
+    /// Per-worker counters, indexed by worker.
+    pub workers: Vec<WorkerSnapshot>,
     /// Wire statistics merged across all completed sessions.
     pub wire: WireStats,
 }
@@ -463,8 +452,8 @@ impl StatsSnapshot {
     /// wire statistics as a wire row, plus any spans recorded in this
     /// process. Serializes to the standard report JSON/CSV schema.
     pub fn to_report(&self) -> Report {
-        let join = |f: fn(&ShardSnapshot) -> u64| {
-            self.shards
+        let join = |f: fn(&WorkerSnapshot) -> u64| {
+            self.workers
                 .iter()
                 .map(|s| f(s).to_string())
                 .collect::<Vec<_>>()
@@ -510,10 +499,10 @@ impl StatsSnapshot {
                     .batch_efficiency()
                     .map_or_else(|| "n/a".to_string(), |e| format!("{e:.2}")),
             )
-            .with_meta("shards", &self.shards.len().to_string())
-            .with_meta("shard_sessions", &join(|s| s.sessions))
-            .with_meta("shard_requests", &join(|s| s.requests))
-            .with_meta("shard_epochs", &join(|s| s.epochs));
+            .with_meta("workers", &self.workers.len().to_string())
+            .with_meta("worker_sessions", &join(|s| s.sessions))
+            .with_meta("worker_requests", &join(|s| s.requests))
+            .with_meta("worker_epochs", &join(|s| s.epochs));
         report.push_wire("server.sessions", self.wire.clone());
         report
     }
@@ -548,12 +537,31 @@ struct Shared {
     stats: ServerStats,
     local_addr: SocketAddr,
     workers: usize,
-    shards: usize,
+    /// Replica count of the served topology: the fleet size this server
+    /// places keys within ([`dlr_protocol::place`]).
+    replicas: usize,
     links: Vec<WorkerLink>,
     accept_poller: Poller,
 }
 
 impl Shared {
+    /// The worker owning `key_id`.
+    fn owner_of(&self, key_id: &[u8]) -> usize {
+        dlr_protocol::place(key_id, self.replicas, self.workers).1
+    }
+
+    /// Attribute one served request to `owner`, the worker owning the
+    /// request's key, and `conn`'s session too on its first such request.
+    fn count_served<E: Pairing>(&self, conn: &mut Conn<E>, owner: usize) {
+        conn.owner = Some(owner);
+        let stats = &self.stats.workers[owner];
+        stats.requests.fetch_add(1, Ordering::Relaxed);
+        if !conn.owner_counted {
+            conn.owner_counted = true;
+            stats.sessions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Wake every event loop (acceptor + workers).
     fn notify_all_loops(&self) {
         let _ = self.accept_poller.notify();
@@ -654,16 +662,16 @@ impl<E: Pairing> Server<E> {
     ) -> io::Result<Self> {
         let local_addr = listener.local_addr()?;
         let workers = config.resolved_workers();
-        let shards = config.resolved_shards();
         // Standalone servers are a fleet of one: synthesize the topology
         // from the bound address so a topology fetch always has an answer.
-        if config.topology.is_none() {
-            config.topology = Some(TopologyMsg {
+        let replicas = config
+            .topology
+            .get_or_insert_with(|| TopologyMsg {
                 version: WIRE_VERSION,
-                shards: shards as u32,
                 replicas: vec![local_addr.to_string()],
-            });
-        }
+            })
+            .replicas
+            .len();
         let links = (0..workers)
             .map(|_| {
                 Ok(WorkerLink {
@@ -682,10 +690,10 @@ impl<E: Pairing> Server<E> {
                 active: AtomicUsize::new(0),
                 kick: Mutex::new(0),
                 wake: Condvar::new(),
-                stats: ServerStats::with_shards(shards),
+                stats: ServerStats::with_workers(workers),
                 local_addr,
                 workers,
-                shards,
+                replicas,
                 links,
                 accept_poller: Poller::new()?,
             }),
@@ -719,11 +727,11 @@ impl<E: Pairing> Server<E> {
         let config = self.config.clone();
         let mut hook = self.epoch_hook.take();
 
-        // Shard → keys map so each worker can re-warm its own shards'
+        // Worker → keys map so each worker can re-warm its own keys'
         // fixed-base tables after an epoch boundary.
-        let mut shard_keys: Vec<Vec<Arc<KeyEntry<E>>>> = vec![Vec::new(); shared.shards];
+        let mut worker_keys: Vec<Vec<Arc<KeyEntry<E>>>> = vec![Vec::new(); shared.workers];
         for entry in keyring.entries() {
-            shard_keys[shard_of(entry.id(), shared.shards)].push(Arc::clone(entry));
+            worker_keys[shared.owner_of(entry.id())].push(Arc::clone(entry));
         }
         let mesh = Mesh {
             inboxes: (0..shared.workers)
@@ -744,14 +752,14 @@ impl<E: Pairing> Server<E> {
                 let path = path.clone();
                 s.spawn(move || stats_dumper(&shared, interval, &path));
             }
-            for index in 0..shared.workers {
+            for (index, own_keys) in worker_keys.iter().enumerate() {
                 let mut worker = Worker {
                     index,
                     shared: &shared,
                     mesh: &mesh,
                     keyring: &keyring,
                     config: &config,
-                    shard_keys: &shard_keys,
+                    own_keys,
                     slab: Vec::new(),
                     free: Vec::new(),
                     batch: BatchQueue::default(),
@@ -891,7 +899,7 @@ fn epoch_scheduler(shared: &Shared, interval: Option<Duration>, hook: &mut Optio
             let epoch = shared.epoch.fetch_add(1, Ordering::AcqRel) + 1;
             shared.stats.epochs.fetch_add(1, Ordering::Relaxed);
             // Wake every worker loop through its poller so each re-warms
-            // its own shards and stamps its shard epoch counters — the
+            // its own keys and stamps its epoch counter — the
             // old kick/condvar fan-out replaced by an eventfd per loop.
             for link in &shared.links {
                 link.pending_epochs.fetch_add(1, Ordering::Release);
@@ -959,10 +967,10 @@ struct Conn<E: Pairing> {
     closing: bool,
     /// Interest currently registered with the poller.
     want_write: bool,
-    /// Shard of the bound key, once a request has bound one.
-    shard: Option<usize>,
-    /// Whether this connection was already counted in shard sessions.
-    shard_counted: bool,
+    /// Worker owning the bound key, once a request has bound one.
+    owner: Option<usize>,
+    /// Whether this connection was already counted in worker sessions.
+    owner_counted: bool,
     is_reject: bool,
     /// A decrypt request from this connection is parked in the worker's
     /// batch window; the connection reads nothing further (strict
@@ -1033,7 +1041,7 @@ enum Verdict {
     Keep,
     /// Tear the connection down.
     Close,
-    /// Hand the connection to the worker owning its key's shard.
+    /// Hand the connection to the worker owning its key.
     Migrate(usize),
 }
 
@@ -1045,7 +1053,7 @@ struct Worker<'a, E: Pairing> {
     mesh: &'a Mesh<E>,
     keyring: &'a Keyring<E>,
     config: &'a ServerConfig,
-    shard_keys: &'a [Vec<Arc<KeyEntry<E>>>],
+    own_keys: &'a [Arc<KeyEntry<E>>],
     slab: Vec<Option<Conn<E>>>,
     free: Vec<usize>,
     /// Cross-request batch window (empty and never opened when
@@ -1105,23 +1113,18 @@ impl<E: Pairing> Worker<'_, E> {
     }
 
     /// Apply epoch boundaries the scheduler has published since the last
-    /// wakeup: stamp shard epoch counters and re-warm this worker's
-    /// shards' fixed-base tables, all outside any generation lock.
+    /// wakeup: stamp this worker's epoch counter and re-warm its keys'
+    /// fixed-base tables, all outside any generation lock.
     fn observe_epochs(&mut self) {
         let pending = self.link().pending_epochs.swap(0, Ordering::AcqRel);
         if pending == 0 {
             return;
         }
-        let workers = self.shared.workers.max(1);
-        let mut shard = self.index;
-        while shard < self.shared.shards {
-            self.shared.stats.shards[shard]
-                .epochs
-                .fetch_add(pending, Ordering::Relaxed);
-            for entry in &self.shard_keys[shard] {
-                entry.warm();
-            }
-            shard += workers;
+        self.shared.stats.workers[self.index]
+            .epochs
+            .fetch_add(pending, Ordering::Relaxed);
+        for entry in self.own_keys {
+            entry.warm();
         }
     }
 
@@ -1163,8 +1166,8 @@ impl<E: Pairing> Worker<'_, E> {
                     deadline: now + self.config.read_timeout,
                     closing: false,
                     want_write: false,
-                    shard: None,
-                    shard_counted: false,
+                    owner: None,
+                    owner_counted: false,
                     is_reject: false,
                     parked: false,
                     conn_id: 0,
@@ -1185,8 +1188,8 @@ impl<E: Pairing> Worker<'_, E> {
                 deadline: now + self.config.reject_write_timeout,
                 closing: true,
                 want_write: true,
-                shard: None,
-                shard_counted: false,
+                owner: None,
+                owner_counted: false,
                 is_reject: true,
                 parked: false,
                 conn_id: 0,
@@ -1416,7 +1419,7 @@ impl<E: Pairing> Worker<'_, E> {
         }));
         match outcome {
             Ok(replies) => {
-                let shard = shard_of(entry.id(), self.shared.shards);
+                let owner = self.shared.owner_of(entry.id());
                 for (preq, reply) in group.iter().zip(replies) {
                     let conn = self.slab[preq.slab_key]
                         .as_mut()
@@ -1428,17 +1431,10 @@ impl<E: Pairing> Worker<'_, E> {
                         continue;
                     }
                     conn.deadline = Instant::now() + self.config.write_timeout;
-                    conn.shard = Some(shard);
-                    if let Some(s) = self.shared.stats.shards.get(shard) {
-                        s.requests.fetch_add(1, Ordering::Relaxed);
-                        if !conn.shard_counted {
-                            conn.shard_counted = true;
-                            s.sessions.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+                    self.shared.count_served(conn, owner);
                 }
                 // Fan out: drive each connection's encode/write stage (and
-                // any migration the freshly bound shard calls for).
+                // any migration the freshly bound key calls for).
                 for preq in &group {
                     self.drive(preq.slab_key, rng);
                 }
@@ -1465,8 +1461,7 @@ fn migration_target<E: Pairing>(conn: &Conn<E>, shared: &Shared, index: usize) -
     if shared.workers <= 1 {
         return None;
     }
-    let shard = conn.shard?;
-    let home = shard % shared.workers;
+    let home = conn.owner?;
     (home != index).then_some(home)
 }
 
@@ -1595,7 +1590,7 @@ fn finish_round<E: Pairing>(conn: &mut Conn<E>) {
 }
 
 /// Decode/execute/encode one request frame: dispatch under a panic guard,
-/// stage the reply, and attribute the request to its key's shard.
+/// stage the reply, and attribute the request to its key's worker.
 fn process_request<E: Pairing, R: rand::RngCore>(
     conn: &mut Conn<E>,
     req: &Bytes,
@@ -1633,16 +1628,9 @@ fn process_request<E: Pairing, R: rand::RngCore>(
                 return;
             }
             conn.deadline = Instant::now() + config.write_timeout;
-            if let Some(entry) = conn.session.entry.as_ref() {
-                let shard = shard_of(entry.id(), shared.shards);
-                conn.shard = Some(shard);
-                if let Some(stats) = shared.stats.shards.get(shard) {
-                    stats.requests.fetch_add(1, Ordering::Relaxed);
-                    if !conn.shard_counted {
-                        conn.shard_counted = true;
-                        stats.sessions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+            let owner = conn.session.entry.as_ref().map(|e| shared.owner_of(e.id()));
+            if let Some(owner) = owner {
+                shared.count_served(conn, owner);
             }
         }
     }
@@ -1894,13 +1882,10 @@ mod tests {
         let config = ServerConfig::default();
         let workers = config.resolved_workers();
         assert!((1..=4).contains(&workers));
-        assert_eq!(config.resolved_shards(), workers);
         let explicit = ServerConfig {
             workers: 3,
-            shards: 7,
             ..ServerConfig::default()
         };
         assert_eq!(explicit.resolved_workers(), 3);
-        assert_eq!(explicit.resolved_shards(), 7);
     }
 }

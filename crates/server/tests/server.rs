@@ -124,6 +124,12 @@ fn serves_four_concurrent_sessions() {
     for w in workers {
         w.join().unwrap();
     }
+    // `p1_shutdown` only sends the Shutdown frame: let the server read
+    // all four and close the sessions before stopping it.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while running.handle.active_sessions() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
 
     let stats = running.stop();
     assert_eq!(stats.sessions_accepted, CLIENTS as u64);
@@ -736,7 +742,6 @@ fn mixed_key_batch_splits_per_key_and_stays_correct() {
     ring.insert(b"kb", pk_b.clone(), s2_b);
     let config = ServerConfig {
         workers: 1,
-        shards: 1,
         batch_max: 0, // unbounded
         batch_wait: Duration::from_millis(10),
         ..quick_config()
@@ -810,7 +815,6 @@ fn malformed_request_in_batch_fails_alone() {
     ring.insert(b"k", pk.clone(), s2);
     let config = ServerConfig {
         workers: 1,
-        shards: 1,
         batch_max: 0,
         batch_wait: Duration::from_millis(10),
         ..quick_config()
@@ -884,7 +888,6 @@ fn panic_in_batch_execute_releases_every_parked_slot() {
     let config = ServerConfig {
         max_sessions: 2,
         workers: 1,
-        shards: 1,
         batch_max: 0,
         batch_wait: Duration::from_millis(10),
         // Decrypt requests park, so the injected fault fires inside
@@ -941,16 +944,14 @@ fn panic_in_batch_execute_releases_every_parked_slot() {
 }
 
 #[test]
-fn refresh_on_one_shard_does_not_stall_decrypts_on_another() {
-    // Two keys that hash to different shards of a two-worker server.
-    let shards = 2usize;
+fn refresh_on_one_worker_does_not_stall_decrypts_on_another() {
+    // Two keys owned by different workers of a two-worker server.
+    let workers = 2usize;
+    let owner = |id: &[u8]| dlr_protocol::place(id, 1, workers).1;
     let mut ids: Vec<Vec<u8>> = Vec::new();
     for i in 0..64 {
         let id = format!("key-{i}").into_bytes();
-        if !ids
-            .iter()
-            .any(|x| dlr_server::shard_of(x, shards) == dlr_server::shard_of(&id, shards))
-        {
+        if !ids.iter().any(|x| owner(x) == owner(&id)) {
             ids.push(id);
         }
         if ids.len() == 2 {
@@ -958,11 +959,10 @@ fn refresh_on_one_shard_does_not_stall_decrypts_on_another() {
         }
     }
     let [id_a, id_b] = &ids[..] else {
-        panic!("could not find ids on distinct shards")
+        panic!("could not find ids on distinct workers")
     };
-    let shard_a = dlr_server::shard_of(id_a, shards);
-    let shard_b = dlr_server::shard_of(id_b, shards);
-    assert_ne!(shard_a, shard_b);
+    let (owner_a, owner_b) = (owner(id_a), owner(id_b));
+    assert_ne!(owner_a, owner_b);
 
     let (pk_a, s1_a, s2_a) = keygen(190);
     let (pk_b, s1_b, s2_b) = keygen(191);
@@ -970,8 +970,7 @@ fn refresh_on_one_shard_does_not_stall_decrypts_on_another() {
     ring.insert(id_a, pk_a.clone(), s2_a);
     ring.insert(id_b, pk_b.clone(), s2_b);
     let config = ServerConfig {
-        workers: 2,
-        shards,
+        workers,
         ..quick_config()
     };
     let server = Server::bind("127.0.0.1:0", Arc::new(ring), config).unwrap();
@@ -982,7 +981,7 @@ fn refresh_on_one_shard_does_not_stall_decrypts_on_another() {
     const REFRESHES: usize = 5;
     let start = Arc::new(Barrier::new(2));
 
-    // Shard B: a client hammering decrypts while shard A refreshes.
+    // Key B: a client hammering decrypts while key A refreshes.
     let decrypter = {
         let id_b = id_b.clone();
         let start = Arc::clone(&start);
@@ -1005,7 +1004,7 @@ fn refresh_on_one_shard_does_not_stall_decrypts_on_another() {
         })
     };
 
-    // Shard A: its key's generation advances while B's session (bound to
+    // Key A: its generation advances while B's session (bound to
     // an untouched key on another worker) keeps decrypting.
     let mut r = rand::rngs::StdRng::seed_from_u64(193);
     let mut p1 = Party1::new(pk_a, s1_a);
@@ -1018,21 +1017,21 @@ fn refresh_on_one_shard_does_not_stall_decrypts_on_another() {
     driver::p1_shutdown(&mut t).unwrap();
     let max_latency = decrypter.join().unwrap();
 
-    // A slow shard-A refresh may briefly share the wire, but a decrypt
-    // on shard B must never wait out a cross-shard lock.
+    // A slow key-A refresh may briefly share the wire, but a decrypt
+    // of key B must never wait out a lock on another worker.
     assert!(
         max_latency < Duration::from_secs(2),
-        "shard-B decrypt stalled for {max_latency:?}"
+        "key-B decrypt stalled for {max_latency:?}"
     );
 
     let stats = running.stop();
     assert_eq!(stats.refreshes, REFRESHES as u64);
     assert_eq!(stats.requests_decrypt, DECRYPTS as u64);
     assert_eq!(stats.error_replies, 0);
-    assert_eq!(stats.shards.len(), shards);
-    // Requests were attributed to the shard their key hashes to.
-    assert_eq!(stats.shards[shard_a].requests, REFRESHES as u64 + 1);
-    assert_eq!(stats.shards[shard_b].requests, DECRYPTS as u64 + 1);
-    assert_eq!(stats.shards[shard_a].sessions, 1);
-    assert_eq!(stats.shards[shard_b].sessions, 1);
+    assert_eq!(stats.workers.len(), workers);
+    // Requests were attributed to the worker owning their key.
+    assert_eq!(stats.workers[owner_a].requests, REFRESHES as u64 + 1);
+    assert_eq!(stats.workers[owner_b].requests, DECRYPTS as u64 + 1);
+    assert_eq!(stats.workers[owner_a].sessions, 1);
+    assert_eq!(stats.workers[owner_b].sessions, 1);
 }

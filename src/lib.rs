@@ -18,8 +18,8 @@
 //!   statistics for the protocols (see `crates/metrics/README.md`);
 //! * [`server`] — the concurrent key-share service: keyring, epoch-driven
 //!   refresh, durable shares, and the closed-loop load generator;
-//! * [`cluster`] — the key-sharded multi-replica fleet: supervisor,
-//!   routed clients over the topology ring, per-shard epoch coordination,
+//! * [`cluster`] — the key-partitioned multi-replica fleet: supervisor,
+//!   routed clients over the fleet topology, per-replica epoch coordination,
 //!   and fault-injecting fleet load generation;
 //! * the `examples/` directory for end-to-end scenarios.
 //!

@@ -18,6 +18,11 @@ echo "==> server integration tests (live TCP)"
 cargo test -q -p dlr-server
 cargo test -q --test server_e2e
 
+echo "==> shutdown-race guard: serves_four_concurrent_sessions x20"
+for _ in $(seq 20); do
+    cargo test -q -p dlr-server --test server serves_four_concurrent_sessions
+done
+
 echo "==> cluster integration tests (2-replica fleet, routing/failover/epoch locality)"
 cargo test -q -p dlr-cluster
 

@@ -15,7 +15,7 @@
 #      table-drift gate (L2 includes the 1024-concurrent-session rung
 #      against the event-loop server with the adaptive batch window on;
 #      A9 ablates batch=1 vs adaptive vs unbounded windows and gates the
-#      deterministic batched-request counts; L3 sweeps 1/2/4 key-sharded
+#      deterministic batched-request counts; L3 sweeps 1/2/4 key-partitioned
 #      replicas with routed clients and drift-gates the redirect counts);
 #   3. the fresh A6/L1/L3 metrics JSON is op-identical to the committed
 #      BENCH_PR2.json / BENCH_L1_PR12.json / BENCH_PR12.json baselines
@@ -123,7 +123,7 @@ a7_parity=$(awk -F, 'NR > 1 { printf "%s%s: %s", (NR > 2 ? ", " : ""), $1, $7 }'
 l1_row=$(awk -F, 'NR == 2 { print $2 " requests, " $3 " verified, " $4 " failures" }' out/L1.csv)
 l2_top=$(awk -F, 'END { print $1 " concurrent sessions, " $3 "/" $2 " verified, " $4 " failures, " $6 " client panics" }' out/L2.csv)
 a9_top=$(awk -F, 'END { print $1 " @ " $2 " sessions: " $6 "/" $3 " batched, " $7 " flushes" }' out/A9.csv)
-l3_top=$(awk -F, 'END { print $1 " replicas, " $5 "/" $4 " verified, " $6 " failures, " $8 " redirects" }' out/L3.csv)
+l3_top=$(awk -F, 'END { print $1 " replicas, " $4 "/" $3 " verified, " $5 " failures, " $7 " redirects" }' out/L3.csv)
 [ "$p2_pairings" = "0" ] || { echo "FAIL: P2 did $p2_pairings pairings (claim: zero)"; exit 1; }
 claims+=("P2 does zero pairings (all $p1_pairings on P1): OK")
 claims+=("A7 fixed-base/generic parity ($a7_parity): OK")
