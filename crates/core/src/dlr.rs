@@ -740,9 +740,13 @@ impl<E: Pairing> Party2<E> {
     /// (`(κ+1)·ℓ` target-group exponentiations + `κ+1` mul + `κ+1` div
     /// ops), a malformed-length request fails alone with the same error,
     /// and the returned elements are bit-identical (canonical
-    /// representations, same engine, same window). `bench-compare`
-    /// therefore cannot tell a batch of 64 from 64 sequential calls —
-    /// which is the point.
+    /// representations of the same products). `bench-compare` therefore
+    /// cannot tell a batch of 64 from 64 sequential calls. The *engine*
+    /// differs: the context runs the generic unsigned Straus/Pippenger
+    /// dispatch, while the sequential path runs `GT`'s signed-window
+    /// engine, which is faster per multi-exponentiation than the shared
+    /// recoding saves — so on the target group a batch costs more CPU
+    /// per request than the inline path.
     pub fn dec_respond_batch(&mut self, msgs: &[&DecMsg1<E>]) -> Vec<Result<DecMsg2<E>, CoreError>> {
         let ctx = dlr_curve::BatchDecryptCtx::new(&self.share.s);
         msgs.iter()

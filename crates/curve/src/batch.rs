@@ -9,25 +9,28 @@
 //! set bit, and the Straus/Pippenger cost-model dispatch.
 //! [`BatchDecryptCtx`] captures that per-key precomputation and exposes a
 //! `product_of_powers` entry point that is **indistinguishable from
-//! [`Group::product_of_powers`] to both the instrumentation and the
-//! arithmetic**:
+//! [`Group::product_of_powers`] to the instrumentation and in its
+//! results**:
 //!
 //! * it bumps exactly `bases.len()` exponentiation counters per call, the
 //!   same wrapper-level accounting as the sequential path (engine
 //!   internals are uncounted in both), and
-//! * it runs the identical engine at the identical window width that
+//! * it runs the engine and window width that the generic
 //!   [`crate::multiexp::multiexp`] would pick — the dispatch is
 //!   deterministic in `(nonzero, max_bits)`, both fixed by the exponent
-//!   vector — over canonical group elements, so results are bit-identical.
+//!   vector — over canonical group elements, so its results are
+//!   bit-identical to every correct engine's.
 //!
 //! That is the parity argument behind the server's dynamic batching
 //! (DESIGN.md §5): `tools/bench-compare.sh` sees the same per-request op
 //! fingerprint whether a request was served inline or in a batch of 64.
 //!
-//! The context targets the generic Straus/Pippenger dispatcher — exactly
-//! the path the target group `Gt` uses. (The source curve group overrides
-//! `product_of_powers` with a wNAF engine; building a ctx for it would
-//! change the engine, so don't.)
+//! The context targets the generic Straus/Pippenger dispatcher. Both
+//! pairing groups override `product_of_powers` with a signed-window
+//! engine (the curve with mixed-addition wNAF, `Gt` with conjugate
+//! inverses and unitary squaring), so on `Gt` the context computes the
+//! same products by a different, slower engine than the inline path: the
+//! shared recoding saves less than the signed windows do.
 
 use crate::counters;
 use crate::multiexp::{
@@ -99,9 +102,9 @@ impl<G: Group> BatchDecryptCtx<G> {
     }
 
     /// `∏ basesᵢ^{sᵢ}` over the context's exponents — same accounting
-    /// (`bases.len()` exponentiations) and same engine/window/result as
-    /// [`Group::product_of_powers`], minus the per-call recoding and
-    /// dispatch.
+    /// (`bases.len()` exponentiations) and same result as
+    /// [`Group::product_of_powers`], by the generic dispatcher's engine and
+    /// window minus the per-call recoding and dispatch.
     ///
     /// # Panics
     ///

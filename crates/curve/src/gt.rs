@@ -6,10 +6,12 @@
 //! practical.
 
 use crate::fixedbase::FixedBase;
+use crate::multiexp;
 use crate::params::SsParams;
 use crate::traits::{Group, GroupKind};
 use crate::util::field_modulus_limbs;
 use core::marker::PhantomData;
+use dlr_math::limbs::bits_slice;
 use dlr_math::{FieldElement, Fp2};
 use rand::RngCore;
 
@@ -38,6 +40,43 @@ impl<P: SsParams> Gt<P> {
     /// The underlying `F_{p²}` value.
     pub fn as_fp2(&self) -> &Fp2<P::Fp> {
         &self.value
+    }
+}
+
+/// The engine and window width of [`Gt`]'s multi-exponentiation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Plan {
+    /// Signed-window Straus at this wNAF width.
+    Signed(usize),
+    /// Pippenger bucket windows at this width.
+    Pippenger(usize),
+}
+
+/// Deterministic plan for `n` nonzero exponents of `bits` significant
+/// bits, from a cost model in scaled `F_{p²}` operations: a multiplication
+/// (three `F_p` products) costs 100, a unitary squaring (two `F_p`
+/// squarings) 67. The signed engine spends, per base, one squaring and
+/// `2^{w−2} − 1` multiplications on the odd-power table and one
+/// multiplication per nonzero digit (about `bits/(w+1) + 1`), plus one
+/// shared squaring per bit. Pippenger's unit-cost model
+/// ([`multiexp::pippenger_cost`]) is scaled to multiplications; the
+/// cheaper engine at its own best width wins.
+fn plan(n: usize, bits: usize) -> Plan {
+    const MUL: usize = 100;
+    const SQR: usize = 67;
+    let (w, signed) = (2..=8usize)
+        .map(|w| {
+            let table = 1usize << (w - 2);
+            let cost = n * (SQR + (table - 1) * MUL) + bits * SQR + n * (bits / (w + 1) + 1) * MUL;
+            (w, cost)
+        })
+        .min_by_key(|&(_, cost)| cost)
+        .expect("nonempty width range");
+    let wp = multiexp::best_window(n, bits, multiexp::pippenger_cost);
+    if multiexp::pippenger_cost(n, bits, wp) * MUL < signed {
+        Plan::Pippenger(wp)
+    } else {
+        Plan::Signed(w)
     }
 }
 
@@ -84,7 +123,31 @@ impl<P: SsParams> Group for Gt<P> {
     }
 
     fn raw_double(&self) -> Self {
-        Self::from_unitary(self.value.square())
+        Self::from_unitary(self.value.unitary_square())
+    }
+
+    /// `P2`'s whole decrypt reply runs here. Same accounting as the trait
+    /// default (`n` pows, engine internals uncounted), different engine:
+    /// every element is unitary, so an inverse is a conjugation and a
+    /// squaring is [`Fp2::unitary_square`], and the signed-window Straus
+    /// engine ([`multiexp::signed_straus_with_window`]) spends both. A
+    /// deterministic cost model in the batch shape picks it or, for
+    /// batches wide enough that per-base tables stop paying, the
+    /// table-free Pippenger engine.
+    fn product_of_powers(bases: &[Self], exps: &[Self::Scalar]) -> Self {
+        assert_eq!(bases.len(), exps.len(), "bases/exps length mismatch");
+        for _ in 0..bases.len() {
+            crate::counters::count_gt_pow();
+        }
+        let (exp_limbs, max_bits) = multiexp::recode::<Self>(exps);
+        let Some(max_bits) = max_bits else {
+            return Self::identity();
+        };
+        let n = exp_limbs.iter().filter(|l| bits_slice(l) > 0).count();
+        match plan(n, max_bits) {
+            Plan::Signed(w) => multiexp::signed_straus_with_window(bases, &exp_limbs, w),
+            Plan::Pippenger(w) => multiexp::pippenger_with_window(bases, &exp_limbs, max_bits, w),
+        }
     }
 
     fn inverse(&self) -> Self {
@@ -147,6 +210,7 @@ where
 mod tests {
     use super::*;
     use crate::params::Toy;
+    use dlr_math::PrimeField;
     use rand::SeedableRng;
 
     type T = Gt<Toy>;
@@ -200,6 +264,116 @@ mod tests {
             z = dlr_math::Fp2::random(&mut r);
         }
         assert_eq!(T::from_bytes(&z.to_bytes_be()), None);
+    }
+
+    /// A norm-1 element outside `μ_r`: `z̄/z` for a random `z ∈ F_{p²}*`,
+    /// parsed through [`Gt::from_bytes`] — which accepts it, so `P2` must
+    /// exponentiate it correctly.
+    fn unitary_outside_mu_r<P: SsParams>(r: &mut rand::rngs::StdRng) -> Gt<P> {
+        loop {
+            let z = Fp2::<P::Fp>::random(r);
+            let Some(inv) = z.inverse() else { continue };
+            let u =
+                Gt::<P>::from_bytes(&(z.conjugate() * inv).to_bytes_be()).expect("z̄/z has norm 1");
+            if !u.is_in_subgroup() {
+                return u;
+            }
+        }
+    }
+
+    /// `n` bases cycling through random, identity and outside-`μ_r`
+    /// elements, and `n` exponents cycling through 0, 1, small, `r − 1`
+    /// and random values.
+    fn mixed_batch<P: SsParams>(r: &mut rand::rngs::StdRng, n: usize) -> (Vec<Gt<P>>, Vec<P::Fr>) {
+        // Two sampled elements seed the rest, so wide batches stay cheap.
+        let (g, h) = (Gt::<P>::random(r), unitary_outside_mu_r::<P>(r));
+        let mut cur = g;
+        let bases = (0..n)
+            .map(|i| {
+                cur = cur.raw_op(&g);
+                match i % 4 {
+                    1 => Gt::identity(),
+                    2 => h.raw_op(&cur),
+                    3 => unitary_outside_mu_r::<P>(r),
+                    _ => cur,
+                }
+            })
+            .collect();
+        let exps = (0..n)
+            .map(|i| match i % 5 {
+                0 => P::Fr::zero(),
+                1 => P::Fr::one(),
+                2 => P::Fr::from_u64(i as u64 * 37 + 5),
+                3 => -P::Fr::one(),
+                _ => P::Fr::random(r),
+            })
+            .collect();
+        (bases, exps)
+    }
+
+    fn engine_matches_naive<P: SsParams>(seed: u64) {
+        let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+        let bits = <P::Fr as PrimeField>::modulus_bits() as usize;
+        let pippenger_n = (64..100_000)
+            .find(|&n| matches!(plan(n, bits), Plan::Pippenger(_)))
+            .expect("some width takes the Pippenger route");
+        for n in [1usize, 2, 3, 14, 17, 64, pippenger_n] {
+            let pippenger = matches!(plan(n, bits), Plan::Pippenger(_));
+            assert_eq!(pippenger, n == pippenger_n, "route n={n}");
+            let (bases, mut exps) = mixed_batch::<P>(&mut r, n);
+            assert_eq!(
+                Gt::product_of_powers(&bases, &exps),
+                multiexp::naive(&bases, &exps),
+                "{} n={n}",
+                P::NAME
+            );
+            // Dense random exponents on the same bases.
+            for e in exps.iter_mut() {
+                *e = P::Fr::random(&mut r);
+            }
+            assert_eq!(
+                Gt::product_of_powers(&bases, &exps),
+                multiexp::naive(&bases, &exps),
+                "{} dense n={n}",
+                P::NAME
+            );
+        }
+    }
+
+    #[test]
+    fn signed_engine_matches_naive_on_toy() {
+        engine_matches_naive::<Toy>(11);
+    }
+
+    #[test]
+    fn signed_engine_matches_naive_on_ss512() {
+        engine_matches_naive::<crate::params::Ss512>(12);
+    }
+
+    #[test]
+    fn signed_engine_counts_like_the_default() {
+        // One gt_pow per base, zero exponents included; nothing else.
+        let mut r = rng();
+        let (bases, exps) = mixed_batch::<Toy>(&mut r, 14);
+        let (_, ops) = crate::counters::measure(|| T::product_of_powers(&bases, &exps));
+        assert_eq!(ops.gt_pow, 14);
+        assert_eq!(ops.gt_op, 0);
+        assert_eq!(ops.g_pow + ops.g_op + ops.pairings, 0);
+        assert!(T::product_of_powers(&[], &[]).is_identity());
+    }
+
+    #[test]
+    fn unitary_square_is_the_double() {
+        let mut r = rng();
+        for _ in 0..20 {
+            let a = T::random(&mut r);
+            let u = unitary_outside_mu_r::<Toy>(&mut r);
+            for x in [a, u] {
+                assert_eq!(x.as_fp2().unitary_square(), x.as_fp2().square());
+            }
+        }
+        let a = Gt::<crate::params::Ss512>::random(&mut r);
+        assert_eq!(a.as_fp2().unitary_square(), a.as_fp2().square());
     }
 
     #[test]

@@ -16,15 +16,20 @@
 //!   (heavy-leakage parameter sets push `ℓ = 3κ` into the thousands).
 //!
 //! [`multiexp`] picks the cheaper engine per call from a deterministic
-//! group-operation cost model; [`Group::product_of_powers`] routes every
-//! protocol call site through it. Both engines skip zero scalars, start the
-//! doubling chain at the highest set bit, and choose their window width
-//! from the batch shape rather than a hardcoded constant. The
-//! `bench_a2_multiexp` ablation quantifies the crossover (EXPERIMENTS.md
-//! table A8).
+//! group-operation cost model; the default [`Group::product_of_powers`]
+//! routes through it. Both engines skip zero scalars, start the doubling
+//! chain at the highest set bit, and choose their window width from the
+//! batch shape rather than a hardcoded constant. The `bench_a2_multiexp`
+//! ablation quantifies the crossover (EXPERIMENTS.md table A8).
+//!
+//! Groups with a free inverse override that default with a signed-window
+//! engine: the curve group with its own mixed-addition wNAF, the target
+//! group with the generic [`signed_straus_with_window`] (inverse =
+//! conjugation). Both still hand wide batches to Pippenger when its cost
+//! model wins.
 
 use crate::traits::Group;
-use dlr_math::limbs::{bits_slice, window};
+use dlr_math::limbs::{bits_slice, window, wnaf_digits};
 use dlr_math::PrimeField;
 
 /// Widest window either engine will use (bounds bucket/table memory).
@@ -148,6 +153,63 @@ pub fn straus_with_window<G: Group>(
             if d != 0 {
                 acc = acc.raw_op(&table[d]);
             }
+        }
+    }
+    acc
+}
+
+/// Interleaved signed-window (wNAF) Straus at an explicit window width,
+/// uninstrumented, for groups whose [`Group::inverse`] is (nearly) free —
+/// the target group, where it is a conjugation.
+///
+/// Each exponent is recoded by [`wnaf_digits`]: odd digits
+/// `|d| < 2^{w−1}`, at most one nonzero per `w + 1` bits on average. So a
+/// base needs a table of its odd powers `b, b³, …, b^{2^{w−1}−1}` only
+/// (`2^{w−2}` entries, half the unsigned table), and a negative digit
+/// multiplies by the inverse of the entry. One shared squaring chain runs
+/// over the longest recoding. Zero exponents get no table and no digits.
+/// Correct for any exponent limbs, including values at or above the group
+/// order and bases outside the prime-order subgroup: the recoding is the
+/// exact integer, not a residue.
+///
+/// # Panics
+///
+/// Panics if `w` is outside `2..=8` (the recoder's digit range).
+pub fn signed_straus_with_window<G: Group>(bases: &[G], exp_limbs: &[Vec<u64>], w: usize) -> G {
+    assert_eq!(bases.len(), exp_limbs.len(), "bases/exps length mismatch");
+    assert!((2..=8).contains(&w), "wnaf width out of range");
+    let tsize = 1usize << (w - 2);
+    let mut nafs: Vec<Vec<i8>> = Vec::with_capacity(bases.len());
+    let mut table: Vec<G> = Vec::with_capacity(bases.len() * tsize);
+    for (b, limbs) in bases.iter().zip(exp_limbs) {
+        let naf = wnaf_digits(limbs, w);
+        if naf.is_empty() {
+            continue;
+        }
+        nafs.push(naf);
+        let sq = b.raw_double();
+        table.push(*b);
+        for _ in 1..tsize {
+            let next = table[table.len() - 1].raw_op(&sq);
+            table.push(next);
+        }
+    }
+    let max_len = nafs.iter().map(Vec::len).max().unwrap_or(0);
+
+    let mut acc = G::identity();
+    for pos in (0..max_len).rev() {
+        acc = acc.raw_double();
+        for (i, naf) in nafs.iter().enumerate() {
+            let Some(&d) = naf.get(pos) else { continue };
+            if d == 0 {
+                continue;
+            }
+            let entry = &table[i * tsize + (d.unsigned_abs() as usize >> 1)];
+            acc = if d > 0 {
+                acc.raw_op(entry)
+            } else {
+                acc.raw_op(&entry.inverse())
+            };
         }
     }
     acc

@@ -15,16 +15,21 @@
 //! The `params_validate` tests below re-verify primality and the arithmetic
 //! relations from scratch on every test run.
 //!
-//! | set    | log₂ p | log₂ r | intent |
-//! |--------|--------|--------|--------|
-//! | TOY    | 71     | 63     | fast unit tests & leakage-game simulation |
-//! | SS512  | 512    | 256    | benchmark-grade, ~medium security |
-//! | SS768  | 768    | 256    | higher security margin |
-//! | SS1024 | 1024   | 256    | conservative setting |
+//! | set    | log₂ p | log₂ r | `F_{p²}` | estimated security |
+//! |--------|--------|--------|----------|--------------------|
+//! | TOY    | 71     | 63     | 142 bits | none: fast unit tests & leakage-game simulation |
+//! | SS512  | 512    | 256    | 1024 bits | well under 100 bits (RSA-1024 class); benchmarks only |
+//! | SS768  | 768    | 256    | 1536 bits | between SS512 and SS1024, below the ~110-bit range |
+//! | SS1024 | 1024   | 256    | 2048 bits | ~110 bits: the first SS set in that range |
 //!
-//! (Security of Type-1 curves is governed by the dlog in `F_{p²}`; these
-//! research-grade sizes reproduce the paper's asymptotics, not a production
-//! security review.)
+//! Security of Type-1 curves is governed by the discrete log in `F_{p²}`,
+//! not by `r` (Pollard rho in a 256-bit group costs ~2¹²⁸). The estimates
+//! follow the published reassessments after the (ex)TNFS advances:
+//! Menezes–Sarkar–Singh, "Challenges with assessing the impact of NFS
+//! advances on the security of pairing-based cryptography" (Mycrypt 2016),
+//! and Barbulescu–Duquesne, "Updating key size estimations for pairings"
+//! (J. Cryptology 2019). They are estimates from the literature, not a
+//! production security review of these parameters.
 
 use core::fmt::Debug;
 use core::hash::Hash;

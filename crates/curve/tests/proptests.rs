@@ -2,8 +2,9 @@
 //! full bilinearity under random scalars, serialization totality).
 
 use dlr_curve::modgroup::{Mini1009, ModGroup};
+use dlr_curve::params::FpToy;
 use dlr_curve::{multiexp, Group, Pairing, Toy, G};
-use dlr_math::FieldElement;
+use dlr_math::{FieldElement, Fp2};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -18,6 +19,21 @@ fn point(seed: u64) -> G<Toy> {
 fn scalar(seed: u64) -> Fr {
     let mut r = rand::rngs::StdRng::seed_from_u64(seed ^ 0xdead);
     Fr::random(&mut r)
+}
+
+/// A unitary `GT` element: in `μ_r` for even seeds, `z̄/z` for a random
+/// `z` (norm 1, almost surely outside `μ_r`) for odd ones.
+fn gt_element(seed: u64) -> Gt {
+    let mut r = rand::rngs::StdRng::seed_from_u64(seed ^ 0x6774);
+    if seed.is_multiple_of(2) {
+        return Gt::random(&mut r);
+    }
+    loop {
+        let z = Fp2::<FpToy>::random(&mut r);
+        if let Some(inv) = z.inverse() {
+            return Gt::from_bytes(&(z.conjugate() * inv).to_bytes_be()).expect("norm 1");
+        }
+    }
 }
 
 proptest! {
@@ -83,6 +99,25 @@ proptest! {
         let exps: Vec<Fr> = seeds.iter().map(|&s| scalar(s)).collect();
         prop_assert_eq!(
             multiexp::straus_raw(&bases, &exps),
+            multiexp::naive(&bases, &exps)
+        );
+    }
+
+    #[test]
+    fn gt_multiexp_agreement(seeds in proptest::collection::vec(any::<u64>(), 0..20)) {
+        // GT's signed-window engine against one pow per base: zero and
+        // r − 1 exponents, and norm-1 bases outside μ_r (z̄/z), included.
+        let bases: Vec<Gt> = seeds.iter().map(|&s| gt_element(s)).collect();
+        let exps: Vec<Fr> = seeds
+            .iter()
+            .map(|&s| match s % 5 {
+                0 => Fr::zero(),
+                1 => -Fr::one(),
+                _ => scalar(s),
+            })
+            .collect();
+        prop_assert_eq!(
+            Gt::product_of_powers(&bases, &exps),
             multiexp::naive(&bases, &exps)
         );
     }

@@ -69,6 +69,19 @@ impl<F: PrimeField> Fp2<F> {
         self.conjugate()
     }
 
+    /// Square of a **unitary** element `a + b·i` (norm 1): with
+    /// `a² + b² = 1`, `x² = (a² − b²) + 2ab·i = (2a² − 1) + ((a + b)² − 1)·i`
+    /// — two `F_p` squarings and no multiplication. Returns the same
+    /// canonical element as [`FieldElement::square`]; callers must ensure
+    /// `self` is unitary, and debug builds assert it.
+    pub fn unitary_square(&self) -> Self {
+        debug_assert!(self.is_unitary(), "unitary_square needs a norm-1 element");
+        Self {
+            c0: self.c0.square().double() - F::one(),
+            c1: (self.c0 + self.c1).square() - F::one(),
+        }
+    }
+
     /// `self^exp` for a **unitary** `self = a + b·i` with `b ≠ 0`, given
     /// `c1_inv = b^{-1}` (variable time in `exp`).
     ///
@@ -358,6 +371,22 @@ mod tests {
         let u = a.conjugate() * a.inverse().unwrap();
         assert!(u.is_unitary());
         assert_eq!(u.unitary_inverse() * u, F2::one());
+    }
+
+    #[test]
+    fn unitary_square_matches_square() {
+        let mut r = rng();
+        let mut pool = vec![F2::one(), -F2::one(), F2::i(), -F2::i()];
+        while pool.len() < 200 {
+            let a = F2::random(&mut r);
+            if let Some(inv) = a.inverse() {
+                pool.push(a.conjugate() * inv);
+            }
+        }
+        for u in &pool {
+            assert!(u.is_unitary());
+            assert_eq!(u.unitary_square(), u.square(), "u = {u:?}");
+        }
     }
 
     #[test]

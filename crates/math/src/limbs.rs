@@ -567,10 +567,54 @@ pub const fn window(a: &[u64], bit_pos: usize, width: usize) -> usize {
 /// expected nonzero-digit density from `1 − 2^{−w}` per window to
 /// `1/(w+1)` per bit while halving the table to odd multiples only.
 ///
+/// Word-scanning: the recoder reads a `w`-bit [`window`] at the current
+/// position (across limb boundaries) plus a pending carry, and after each
+/// nonzero digit jumps `w` bits at once — the `w − 1` digits that follow
+/// are zero by construction. The digits are exactly those of the textbook
+/// bit-serial recoding (kept as the test reference), which subtracts the
+/// digit and shifts the whole limb vector once per bit.
+///
 /// # Panics
 ///
 /// Panics if `w` is outside `2..=8` (digits must fit an `i8`).
 pub fn wnaf_digits(a: &[u64], w: usize) -> Vec<i8> {
+    assert!((2..=8).contains(&w), "wnaf width out of range");
+    let nbits = bits_slice(a) as usize;
+    let mut digits = vec![0i8; nbits + 1];
+    let half = 1usize << (w - 1);
+    let full = 1usize << w;
+    // `carry` is the 1 a negative digit adds at the next position; the
+    // value still to recode is `(a >> pos) + carry`.
+    let (mut pos, mut carry, mut len) = (0usize, 0usize, 0usize);
+    while pos < nbits || carry != 0 {
+        let win = window(a, pos, w) + carry;
+        if win & 1 == 0 {
+            // Even (a window of all ones plus the carry is 2^w): digit 0,
+            // and the carry moves up with the position.
+            pos += 1;
+            continue;
+        }
+        // Centered residue mods 2^w: odd, in (−2^{w−1}, 2^{w−1}).
+        let d = if win >= half {
+            carry = 1;
+            win as i64 - full as i64
+        } else {
+            carry = 0;
+            win as i64
+        };
+        digits[pos] = d as i8;
+        len = pos + 1;
+        pos += w;
+    }
+    digits.truncate(len);
+    digits
+}
+
+/// Bit-serial wNAF recoding: subtract the digit, then shift the whole limb
+/// vector right by one bit per position. The word-scanning [`wnaf_digits`]
+/// must match it digit for digit.
+#[cfg(test)]
+fn wnaf_digits_reference(a: &[u64], w: usize) -> Vec<i8> {
     assert!((2..=8).contains(&w), "wnaf width out of range");
     let mut e = a.to_vec();
     let mut digits = Vec::with_capacity(bits_slice(a) as usize + 1);
@@ -1053,6 +1097,11 @@ mod tests {
         for v in &values {
             for w in 2..=8usize {
                 let digits = wnaf_digits(v, w);
+                assert_eq!(
+                    digits,
+                    wnaf_digits_reference(v, w),
+                    "reference v={v:?} w={w}"
+                );
                 assert!(digits.len() <= bits_slice(v) as usize + 1, "len w={w}");
                 // Reconstruct Σ d_i 2^i in i128 (all grid values fit).
                 let value = v.iter().rev().fold(0i128, |acc, &l| (acc << 64) | l as i128);
@@ -1072,6 +1121,50 @@ mod tests {
                         assert_eq!(dj, 0, "naf spacing w={w} i={i} j={j}");
                     }
                 }
+            }
+        }
+    }
+
+    /// The shared 256-bit scalar modulus of the SS parameter sets and the
+    /// TOY scalar modulus, little-endian. Canonical scalars stay below
+    /// them, but the recoder takes any limbs, so values around them are
+    /// recoded too.
+    const R256: [u64; 4] = [
+        0x9d59_f778_aec3_3793,
+        0xd2f4_8907_cb57_039e,
+        0x66c8_d7ba_aa67_6515,
+        0x9c7b_55f3_3f4a_5556,
+    ];
+    const R_TOY: u64 = 0x5ed5_e420_ff58_3487;
+
+    mod wnaf_recoder {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn word_scan_matches_bit_serial(
+                limbs in proptest::collection::vec(any::<u64>(), 1..5),
+                shape in 0u8..4,
+                ones in any::<u8>(),
+                w in 2usize..=8,
+            ) {
+                let v: Vec<u64> = match shape {
+                    // Saturate a random subset of limbs (carry chains).
+                    1 => limbs
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &l)| if (ones >> i) & 1 == 1 { u64::MAX } else { l })
+                        .collect(),
+                    // r − 1, r or r + 1 for the 256-bit scalar modulus…
+                    2 => add_u64(&sub_u64(&R256, 1), limbs[0] % 3).to_vec(),
+                    // … and for the one-limb TOY scalar modulus.
+                    3 => vec![R_TOY - 1 + limbs[0] % 3],
+                    _ => limbs,
+                };
+                prop_assert_eq!(wnaf_digits(&v, w), wnaf_digits_reference(&v, w));
             }
         }
     }

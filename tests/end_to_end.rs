@@ -161,3 +161,46 @@ fn wrong_share_pairs_fail_gracefully() {
     let out = scheme::decrypt_local(&mut p1, &mut p2, &ct, &mut r).unwrap();
     assert_ne!(out, m);
 }
+
+/// SHA-256 of `frames ‖ replies` for `n` decrypt frames of one fresh key:
+/// every byte P1 sends and P2 answers through `driver::p2_handle_frame`,
+/// each reply checked to decrypt to its plaintext.
+fn decrypt_wire_digest<P: Pairing>(seed: u64, n: usize) -> String {
+    let mut r = rng(seed);
+    let params = SchemeParams::derive::<P::Scalar>(16, 64);
+    let (pk, s1, s2) = scheme::keygen::<P, _>(params, &mut r);
+    let mut p1 = scheme::Party1::new(pk.clone(), s1);
+    let mut p2 = scheme::Party2::new(pk.clone(), s2);
+    let (mut frames, mut replies) = (Vec::new(), Vec::new());
+    for _ in 0..n {
+        let m = P::Gt::random(&mut r);
+        let ct = scheme::encrypt(&pk, &m, &mut r);
+        let mut frame = vec![driver::RequestTag::Decrypt as u8];
+        frame.extend_from_slice(&p1.dec_start(&ct, &mut r).to_bytes());
+        let (_, body) = driver::p2_handle_frame(&mut p2, 0, &frame, &mut r).unwrap();
+        let body = body.expect("a decrypt has a reply");
+        let m2 = scheme::DecMsg2::<P>::from_bytes(&body, &pk.params).unwrap();
+        assert_eq!(p1.dec_finish(&m2).unwrap(), m);
+        frames.extend_from_slice(&frame);
+        replies.extend_from_slice(&body);
+    }
+    frames.extend_from_slice(&replies);
+    dlr::hash::sha256::digest(&frames)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+#[test]
+fn golden_decrypt_wire_bytes() {
+    // Recorded before P2's target-group engine changed: any change to the
+    // multi-exponentiation must leave every reply byte where it was.
+    assert_eq!(
+        decrypt_wire_digest::<Toy>(37, 4),
+        "456a78916d30da9ff8d51b250accd13a84e1a317258832553e09654084a53f1b"
+    );
+    assert_eq!(
+        decrypt_wire_digest::<Ss512>(38, 1),
+        "12470abf6c21a279f8846be647a14e01b22119674648c9c3f137769920a359b9"
+    );
+}
