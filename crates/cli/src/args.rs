@@ -46,6 +46,18 @@ impl Args {
         Ok(out)
     }
 
+    /// Fail on the first option not in `known`, naming it: a mistyped or
+    /// retired flag must not be silently ignored.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
+        match self.options.keys().find(|k| !known.contains(&k.as_str())) {
+            Some(key) => Err(ArgError(format!(
+                "unknown flag --{key} for `{}` (try `dlr help`)",
+                self.command
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Required option.
     pub fn require(&self, key: &str) -> Result<&str, ArgError> {
         self.options

@@ -98,6 +98,9 @@ pub fn dispatch(argv: &[String]) -> Result<(), AnyError> {
         return Ok(());
     }
     let args = Args::parse(argv)?;
+    if let Some(flags) = help_flags(&args.command) {
+        args.reject_unknown(&flags)?;
+    }
     match args.get_or("curve", "toy") {
         "toy" => run::<Toy>(&args),
         "ss512" => run::<Ss512>(&args),
@@ -105,6 +108,27 @@ pub fn dispatch(argv: &[String]) -> Result<(), AnyError> {
         "ss1024" => run::<Ss1024>(&args),
         other => Err(Box::new(ArgError(format!("unknown curve `{other}`")))),
     }
+}
+
+/// The flags HELP lists for `command` (without the `--`), or `None` when
+/// HELP has no row for it. HELP is the one list of each subcommand's
+/// flags: a row starts two columns in with the subcommand's name, and
+/// rows indented further continue it.
+fn help_flags(command: &str) -> Option<Vec<&'static str>> {
+    let table = HELP.split("subcommands:\n").nth(1)?.split("\n\n").next()?;
+    let mut rows = table
+        .lines()
+        .skip_while(|row| row.split_whitespace().next() != Some(command));
+    let first = rows.next()?;
+    let rest = rows.take_while(|row| row.starts_with("   "));
+    Some(
+        std::iter::once(first)
+            .chain(rest)
+            .flat_map(str::split_whitespace)
+            .filter_map(|word| word.trim_start_matches('[').strip_prefix("--"))
+            .map(|flag| flag.trim_end_matches(']'))
+            .collect(),
+    )
 }
 
 fn run<E: Pairing>(args: &Args) -> Result<(), AnyError> {
@@ -343,6 +367,8 @@ fn cluster<E: Pairing>(args: &Args) -> Result<(), AnyError> {
     let n = args.get_u32_or("n", 16)?;
     let lambda = args.get_u32_or("lambda", 64)?;
     let fault_ms = args.get_u32_or("fault-ms", 0)?;
+    let fault_replica = args.get_u32_or("fault-replica", 0)? as usize;
+    let downtime_ms = args.get_u32_or("downtime-ms", 150)?;
     let epoch_sweep_secs = args.get_u32_or("epoch-sweep-secs", 0)?;
 
     let params = SchemeParams::derive::<E::Scalar>(n, lambda);
@@ -385,11 +411,9 @@ fn cluster<E: Pairing>(args: &Args) -> Result<(), AnyError> {
             ..dlr_cluster::FleetLoadgenConfig::default()
         },
         fault: (fault_ms > 0).then(|| FleetFault {
-            replica: args.get_u32_or("fault-replica", 0).unwrap_or(0) as usize,
+            replica: fault_replica,
             delay: Duration::from_millis(fault_ms.into()),
-            downtime: Duration::from_millis(
-                args.get_u32_or("downtime-ms", 150).unwrap_or(150).into(),
-            ),
+            downtime: Duration::from_millis(downtime_ms.into()),
         }),
         epoch_sweep: (epoch_sweep_secs > 0)
             .then(|| Duration::from_secs(epoch_sweep_secs.into())),
@@ -568,4 +592,56 @@ fn artifact(args: &Args) -> Result<(), AnyError> {
     }
     println!("artifact: all gated tables match the committed docs");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(argv: &[String]) -> Result<(), ArgError> {
+        let args = Args::parse(argv)?;
+        args.reject_unknown(&help_flags(&args.command).expect("a subcommand HELP lists"))
+    }
+
+    fn sv(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn every_help_flag_is_accepted() {
+        let commands = [
+            "keygen", "info", "encrypt", "decrypt", "refresh", "serve-p2",
+            "decrypt-remote", "loadgen", "cluster", "metrics", "artifact",
+        ];
+        for command in commands {
+            let flags = help_flags(command).unwrap_or_else(|| panic!("no HELP row for {command}"));
+            assert!(!flags.is_empty(), "{command} lists no flags");
+            let mut argv = vec![command.to_string()];
+            for flag in flags {
+                argv.extend([format!("--{flag}"), "1".to_string()]);
+            }
+            check(&argv).unwrap_or_else(|e| panic!("{command}: {e}"));
+        }
+        // Continuation rows count, and a subcommand is not mistaken for
+        // another that shares its prefix.
+        assert_eq!(help_flags("decrypt").unwrap(), ["pk", "sk1", "sk2", "in", "out", "curve"]);
+        assert!(help_flags("serve-p2").unwrap().contains(&"batch-wait-us"));
+        assert!(help_flags("cluster").unwrap().contains(&"epoch-sweep-secs"));
+        assert!(help_flags("artifact").unwrap().contains(&"l2-workers"));
+        assert!(help_flags("frobnicate").is_none());
+    }
+
+    #[test]
+    fn retired_and_misspelled_flags_are_rejected() {
+        for (argv, flag) in [
+            (&["serve-p2", "--shards", "4"][..], "--shards"),
+            (&["cluster", "--shards", "2"], "--shards"),
+            (&["serve-p2", "--epoch-sec", "5"], "--epoch-sec"),
+            (&["decrypt", "--key-id", "k"], "--key-id"),
+        ] {
+            let err = check(&sv(argv)).unwrap_err();
+            assert!(err.0.contains(flag), "{argv:?}: {err}");
+        }
+        assert!(check(&sv(&["serve-p2", "--epoch-secs", "5"])).is_ok());
+    }
 }

@@ -87,6 +87,14 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
     let out = dlr().args(["decrypt", "--pk", "/nonexistent"]).output().unwrap();
     assert!(!out.status.success());
+    // a flag HELP does not list for the subcommand is named, not ignored
+    let out = dlr().args(["serve-p2", "--shards", "4"]).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--shards"));
+    // so is a malformed value of a listed one, before any fleet starts
+    let out = dlr().args(["cluster", "--fault-ms", "10", "--downtime-ms", "abc"]).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--downtime-ms"));
     // help succeeds
     let out = dlr().args(["help"]).output().unwrap();
     assert!(out.status.success());

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Client-side material for one fleet key: the public key plus the `P1`
@@ -273,7 +273,7 @@ pub fn run_fleet_loadgen<E: Pairing, R: rand::RngCore>(
 
     let started = Instant::now();
     let (per_client, client_panics): (Vec<ClientOutcome>, usize) =
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..config.clients)
                 .map(|idx| {
                     let (key, message, ct) = workloads[idx % workloads.len()].clone();
@@ -483,7 +483,7 @@ fn client_loop<E: Pairing>(
     out.redirects = router.redirects();
     out.failovers = router.failovers();
     for handle in &wire_handles {
-        out.wire.merge(&handle.lock().clone());
+        out.wire.merge(&handle.lock().unwrap_or_else(PoisonError::into_inner));
     }
     out
 }
@@ -607,7 +607,7 @@ pub fn run_fleet_ladder<E: Pairing, R: rand::RngCore>(
         let fault = config.fault.as_ref().filter(|_| replicas >= 2);
         let fleet = Mutex::new(fleet);
         let mut restarted = None;
-        let outcome = crossbeam::thread::scope(|s| {
+        let outcome = std::thread::scope(|s| {
             let saboteur = fault.map(|fault| {
                 let fleet = &fleet;
                 let fault = fault.clone();

@@ -175,14 +175,31 @@ fn routed_load_survives_replica_restart() {
         seed_stale_routes: false,
     };
 
-    let outcome = crossbeam::thread::scope(|s| {
+    let total = (config.clients * config.requests_per_client) as u64;
+    let kill_at = total / 6;
+    let outcome = std::thread::scope(|s| {
         let loadgen = s.spawn(|| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(42);
             run_fleet_loadgen::<E, _>(&topology, &material, &config, &mut rng)
         });
-        // Pull the owning replica out from under the load, then bring it
-        // back on the same address.
-        std::thread::sleep(Duration::from_millis(150));
+        // Pull the owning replica out from under the load once a sixth of
+        // it is served, then bring it back on the same address. The kill
+        // follows progress, not a delay: the whole load can finish in
+        // under 100 ms.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let served = fleet.stats()[owner]
+                .as_ref()
+                .map_or(0, |s| s.requests_decrypt);
+            if served >= kill_at {
+                break;
+            }
+            assert!(
+                !loadgen.is_finished() && Instant::now() < deadline,
+                "owner replica served {served} of {total} decrypts, never reached {kill_at}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         fleet.kill_replica(owner).unwrap();
         std::thread::sleep(Duration::from_millis(200));
         fleet.restart_replica(owner).unwrap();

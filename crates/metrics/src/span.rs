@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use dlr_curve::counters;
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::report::SpanStats;
 
@@ -120,7 +120,7 @@ fn flush_local() {
         if table.is_empty() {
             return;
         }
-        let mut global = GLOBAL.lock();
+        let mut global = GLOBAL.lock().unwrap_or_else(PoisonError::into_inner);
         for (name, stats) in std::mem::take(&mut *table) {
             match global.get_mut(name) {
                 Some(entry) => entry.merge(&stats),
@@ -141,6 +141,7 @@ pub fn snapshot_spans() -> BTreeMap<String, SpanStats> {
     flush_local();
     GLOBAL
         .lock()
+        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .map(|(name, stats)| (name.to_string(), stats.clone()))
         .collect()
@@ -152,7 +153,10 @@ pub fn snapshot_spans() -> BTreeMap<String, SpanStats> {
 /// two resets are independent.
 pub fn reset() {
     LOCAL.with(|l| l.borrow_mut().clear());
-    GLOBAL.lock().clear();
+    GLOBAL
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
 }
 
 #[cfg(test)]
@@ -165,7 +169,7 @@ mod tests {
 
     #[test]
     fn nesting_attributes_child_time() {
-        let _g = TEST_LOCK.lock();
+        let _g = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         reset();
         span("outer", || {
             span("outer.inner", || {
@@ -186,7 +190,7 @@ mod tests {
 
     #[test]
     fn repeated_spans_aggregate() {
-        let _g = TEST_LOCK.lock();
+        let _g = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         reset();
         for _ in 0..5 {
             span("rep", || {});
@@ -196,7 +200,7 @@ mod tests {
 
     #[test]
     fn ops_delta_matches_counters() {
-        let _g = TEST_LOCK.lock();
+        let _g = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         reset();
         // Pollute the counters before the span: spans must report deltas.
         counters::count_g_op();
@@ -213,7 +217,7 @@ mod tests {
 
     #[test]
     fn parent_ops_include_children() {
-        let _g = TEST_LOCK.lock();
+        let _g = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         reset();
         span("par", || {
             counters::count_gt_op();
@@ -227,7 +231,7 @@ mod tests {
 
     #[test]
     fn worker_threads_flush_on_outermost_exit() {
-        let _g = TEST_LOCK.lock();
+        let _g = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         reset();
         let h = std::thread::spawn(|| span("worker", || {}));
         h.join().unwrap();
@@ -236,7 +240,7 @@ mod tests {
 
     #[test]
     fn panic_inside_span_keeps_stack_consistent() {
-        let _g = TEST_LOCK.lock();
+        let _g = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         reset();
         let result = std::panic::catch_unwind(|| {
             span("boom", || panic!("intentional"));

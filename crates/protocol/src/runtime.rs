@@ -44,7 +44,6 @@ where
     let (t1, mut t2) = duplex();
     let transcript = new_transcript();
     let mut rec1 = RecordingTransport::new(t1, transcript.clone());
-    let stats = rec1.stats_handle();
 
     let (out1, out2) = std::thread::scope(|scope| {
         let h2 = scope.spawn(move || p2(&mut t2));
@@ -53,7 +52,7 @@ where
         (out1, out2)
     });
 
-    let wire = stats.lock().clone();
+    let wire = rec1.wire_stats();
     RunOutput {
         p1: out1,
         p2: out2,

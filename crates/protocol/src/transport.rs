@@ -6,11 +6,10 @@
 //! security game can hand it to leakage functions as part of `pub^t`.
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Transport failure.
 #[derive(Debug)]
@@ -77,7 +76,10 @@ pub trait Transport: Send {
     fn recv(&mut self) -> Result<Bytes, TransportError>;
 }
 
-/// In-memory duplex endpoint backed by crossbeam channels.
+/// In-memory duplex endpoint: two `std::sync::mpsc` channels, one per
+/// direction. Frames arrive in the order they were sent; once the peer
+/// endpoint is dropped, `send` fails and `recv` fails after the frames
+/// already queued are drained, both as [`TransportError::Disconnected`].
 #[derive(Debug)]
 pub struct InMemoryTransport {
     tx: Sender<Bytes>,
@@ -86,8 +88,8 @@ pub struct InMemoryTransport {
 
 /// Create a connected pair of in-memory endpoints.
 pub fn duplex() -> (InMemoryTransport, InMemoryTransport) {
-    let (a_tx, b_rx) = unbounded();
-    let (b_tx, a_rx) = unbounded();
+    let (a_tx, b_rx) = channel();
+    let (b_tx, a_rx) = channel();
     (
         InMemoryTransport { tx: a_tx, rx: a_rx },
         InMemoryTransport { tx: b_tx, rx: b_rx },
@@ -325,6 +327,13 @@ pub enum Direction {
     Received,
 }
 
+/// Lock a transcript or statistics handle, recovering it if a holder
+/// panicked: each holder only appends or bumps counters, so the value is
+/// never left half-written.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A shared, append-only record of everything that crossed the channel.
 pub type Transcript = Arc<Mutex<Vec<(Direction, Bytes)>>>;
 
@@ -335,12 +344,12 @@ pub fn new_transcript() -> Transcript {
 
 /// Total bytes currently recorded in a transcript.
 pub fn transcript_bytes(t: &Transcript) -> usize {
-    t.lock().iter().map(|(_, b)| b.len()).sum()
+    lock(t).iter().map(|(_, b)| b.len()).sum()
 }
 
 /// Flatten a transcript into a single byte string (leakage-function input).
 pub fn transcript_flatten(t: &Transcript) -> Vec<u8> {
-    let guard = t.lock();
+    let guard = lock(t);
     let mut out = Vec::new();
     for (dir, bytes) in guard.iter() {
         out.push(match dir {
@@ -439,17 +448,15 @@ impl<T: Transport> RecordingTransport<T> {
 
     /// Snapshot of the statistics collected so far.
     pub fn wire_stats(&self) -> WireStats {
-        self.stats.lock().clone()
+        lock(&self.stats).clone()
     }
 }
 
 impl<T: Transport> Transport for RecordingTransport<T> {
     fn send(&mut self, msg: Bytes) -> Result<(), TransportError> {
-        self.transcript
-            .lock()
-            .push((Direction::Sent, msg.clone()));
+        lock(&self.transcript).push((Direction::Sent, msg.clone()));
         {
-            let mut s = self.stats.lock();
+            let mut s = lock(&self.stats);
             s.frames_sent += 1;
             s.bytes_sent += msg.len() as u64;
         }
@@ -461,10 +468,8 @@ impl<T: Transport> Transport for RecordingTransport<T> {
 
     fn recv(&mut self) -> Result<Bytes, TransportError> {
         let msg = self.inner.recv()?;
-        self.transcript
-            .lock()
-            .push((Direction::Received, msg.clone()));
-        let mut s = self.stats.lock();
+        lock(&self.transcript).push((Direction::Received, msg.clone()));
+        let mut s = lock(&self.stats);
         s.frames_received += 1;
         s.bytes_received += msg.len() as u64;
         if let Some(t0) = self.round_start.take() {
@@ -745,7 +750,7 @@ mod tests {
         rec.send(Bytes::from_static(b"one")).unwrap();
         b.send(Bytes::from_static(b"two")).unwrap();
         let _ = rec.recv().unwrap();
-        let log = transcript.lock();
+        let log = lock(&transcript);
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].0, Direction::Sent);
         assert_eq!(log[1].0, Direction::Received);

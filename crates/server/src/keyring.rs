@@ -23,11 +23,39 @@
 
 use dlr_core::dlr::{Party2, PublicKey, Share2};
 use dlr_curve::Pairing;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Lock a std mutex, recovering the guard if a previous holder panicked.
+///
+/// Every lock in this crate goes through here, so a panicking session
+/// cannot take a key, the epoch clock or the statistics down with it.
+/// Recovery is safe when no holder can leave the value half-updated:
+///
+/// - the scheduler's kick counter and `ServerStats::last_panic` are
+///   overwritten whole (an integer bump, an `Option<String>` store);
+/// - the wire aggregate (`ServerStats::wire`) and the worker inboxes only
+///   see `merge`/`drain` and `push_back`/`pop_front`, which leave a valid
+///   value even if an allocation fails part-way; the worst case is a
+///   statistic short by one session or one lost handoff, never a wrong
+///   reply;
+/// - the generation lock ([`KeyEntry::with_state`]) around a decrypt:
+///   `Party2::dec_respond` reads the share without changing it, and
+///   [`KeyEntry::generation`] and [`KeyEntry::persist`] only read.
+///
+/// One holder is not safe to recover: a panic inside a **refresh** under
+/// the generation lock. Once `Party2::ref_complete` has promoted the new
+/// share, a panic before [`KeyEntry::commit_refresh`] bumps the
+/// generation leaves P2 on the new share at the old generation, while P1,
+/// which never got a reply, keeps the old share; the two no longer
+/// recombine. Poisoning would not repair that either: it is the known
+/// refresh-atomicity gap, closed only by a refresh that stages the new
+/// share, persists it and promotes it after P1 has the reply.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Mutable per-key state guarded by the generation lock.
 pub struct KeyState<E: Pairing> {
@@ -75,12 +103,12 @@ impl<E: Pairing> KeyEntry<E> {
 
     /// Current generation (brief lock acquisition).
     pub fn generation(&self) -> u64 {
-        self.state.lock().generation
+        lock_recover(&self.state).generation
     }
 
     /// Run `f` under the generation lock.
     pub fn with_state<T>(&self, f: impl FnOnce(&mut KeyState<E>) -> T) -> T {
-        f(&mut self.state.lock())
+        f(&mut lock_recover(&self.state))
     }
 
     /// Complete a refresh **under an already-held state lock**: persist
@@ -101,7 +129,7 @@ impl<E: Pairing> KeyEntry<E> {
     /// Persist the current share (used at graceful shutdown; refreshes
     /// already persisted eagerly, so this is a no-op-equivalent rewrite).
     pub fn persist(&self) -> io::Result<()> {
-        let state = self.state.lock();
+        let state = lock_recover(&self.state);
         match &state.persist_path {
             Some(path) => persist_atomically(path, &state.p2.share().to_bytes()),
             None => Ok(()),
@@ -360,6 +388,34 @@ mod tests {
         // disk holds the *new* share
         let on_disk = Share2::<E>::from_bytes(&std::fs::read(&path).unwrap(), &pk.params).unwrap();
         entry.with_state(|state| assert_eq!(&on_disk, state.p2.share()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn generation_lock_survives_a_panicking_holder() {
+        let dir = std::env::temp_dir().join(format!("dlr-keyring3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sk2.dlr");
+
+        let (pk, _s1, s2) = keygen(8);
+        let expect = s2.to_bytes();
+        let mut ring = Keyring::<E>::new();
+        ring.insert_persistent(b"k", pk, s2, path.clone());
+        let entry = ring.get(b"k").unwrap();
+
+        // A holder that panics under the generation lock, as a dispatcher
+        // inside the server's `catch_unwind` would, poisons the mutex.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            entry.with_state::<()>(|_state| panic!("holder panics under the generation lock"))
+        }));
+        assert!(panicked.is_err());
+        assert!(entry.state.is_poisoned());
+
+        // Every later holder recovers the guard instead of re-panicking.
+        assert_eq!(entry.generation(), 0);
+        assert_eq!(entry.with_state(|state| state.p2.share().to_bytes()), expect);
+        entry.persist().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), expect);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

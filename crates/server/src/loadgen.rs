@@ -266,7 +266,7 @@ pub fn run_loadgen<E: Pairing, R: rand::RngCore>(
     // recorded (and its requests counted as failures below) while every
     // surviving client still reports.
     let (per_client, client_panics): (Vec<ClientOutcome>, usize) =
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..config.clients)
                 .map(|idx| {
                     let pk = pk.clone();

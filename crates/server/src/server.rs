@@ -46,8 +46,9 @@
 //! lives — refresh is a *two-party* protocol, so the scheduler cannot
 //! rotate the share alone; the hook typically nudges the `P1` co-device,
 //! which then drives a wire refresh through a normal session (the
-//! integration tests do exactly this). The scheduler's kick mutex
-//! recovers from poisoning: a panicking waiter cannot take the epoch
+//! integration tests do exactly this). Every server lock, the
+//! scheduler's kick mutex included, recovers from poisoning
+//! (`keyring::lock_recover`): a panicking waiter cannot take the epoch
 //! clock down with it.
 //!
 //! ## Dynamic cross-request batching
@@ -78,7 +79,7 @@
 //! from mismatched shares. The session stays open — the client re-hellos
 //! (with its refreshed `P1` share) and continues.
 
-use crate::keyring::{persist_atomically, KeyEntry, Keyring};
+use crate::keyring::{lock_recover, persist_atomically, KeyEntry, Keyring};
 use bytes::Bytes;
 use dlr_core::driver::{
     error_reply, error_reply_for, ok_reply, p2_handle_decrypt_batch, p2_handle_frame, ErrorCode,
@@ -95,7 +96,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Cluster ownership oracle consulted on a hello naming a key the local
@@ -269,9 +270,9 @@ pub struct ServerStats {
     batch_flushes_timer: AtomicU64,
     batch_flushes_idle: AtomicU64,
     batch_size_hist: [AtomicU64; BATCH_HIST_BUCKETS],
-    last_panic: parking_lot::Mutex<Option<String>>,
+    last_panic: Mutex<Option<String>>,
     workers: Vec<WorkerStats>,
-    wire: parking_lot::Mutex<WireStats>,
+    wire: Mutex<WireStats>,
 }
 
 /// Batch-size histogram buckets: 1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+.
@@ -300,7 +301,7 @@ impl ServerStats {
     }
 
     fn merge_wire(&self, session: &WireStats) {
-        let mut agg = self.wire.lock();
+        let mut agg = lock_recover(&self.wire);
         agg.merge(session);
         let len = agg.round_latency_ns.len();
         if len > MAX_LATENCY_SAMPLES {
@@ -315,7 +316,7 @@ impl ServerStats {
             .map(|s| s.to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "non-string panic payload".to_string());
-        *self.last_panic.lock() = Some(message);
+        *lock_recover(&self.last_panic) = Some(message);
     }
 
     /// Consistent point-in-time copy of every counter.
@@ -346,7 +347,7 @@ impl ServerStats {
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
-            last_panic: self.last_panic.lock().clone(),
+            last_panic: lock_recover(&self.last_panic).clone(),
             workers: self
                 .workers
                 .iter()
@@ -356,7 +357,7 @@ impl ServerStats {
                     epochs: s.epochs.load(Ordering::Relaxed),
                 })
                 .collect(),
-            wire: self.wire.lock().clone(),
+            wire: lock_recover(&self.wire).clone(),
         }
     }
 }
@@ -511,13 +512,6 @@ impl StatsSnapshot {
 /// Invoked by the epoch scheduler at each period boundary with the new
 /// epoch number.
 pub type EpochHook = Box<dyn FnMut(u64) + Send>;
-
-/// Lock a std mutex, recovering the guard if a previous holder panicked.
-/// The protected values here (kick counters) are plain integers that are
-/// never left mid-update, so the poisoned state is always consistent.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Cross-thread channel into one worker event loop: its poller (for
 /// wakeups) and the count of epoch boundaries it has not yet observed.
@@ -735,12 +729,12 @@ impl<E: Pairing> Server<E> {
         }
         let mesh = Mesh {
             inboxes: (0..shared.workers)
-                .map(|_| parking_lot::Mutex::new(VecDeque::new()))
+                .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
         };
 
         let mut accept_err: Option<io::Error> = None;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             {
                 let shared = Arc::clone(&shared);
                 let interval = config.epoch_interval;
@@ -847,7 +841,7 @@ fn acceptor_loop<E: Pairing>(
                     },
                 }
             };
-            mesh.inboxes[next_worker].lock().push_back(inbound);
+            lock_recover(&mesh.inboxes[next_worker]).push_back(inbound);
             let _ = shared.links[next_worker].poller.notify();
             next_worker = (next_worker + 1) % shared.workers;
         }
@@ -940,7 +934,7 @@ enum Inbound<E: Pairing> {
 /// Worker-to-worker handoff queues (acceptor → worker, worker → worker on
 /// migration). Separate from [`Shared`] so [`Shared`] stays non-generic.
 struct Mesh<E: Pairing> {
-    inboxes: Vec<parking_lot::Mutex<VecDeque<Inbound<E>>>>,
+    inboxes: Vec<Mutex<VecDeque<Inbound<E>>>>,
 }
 
 /// One nonblocking connection's frame state machine. The current state is
@@ -1130,7 +1124,7 @@ impl<E: Pairing> Worker<'_, E> {
 
     fn drain_inbox<R: rand::RngCore>(&mut self, rng: &mut R) {
         loop {
-            let inbound = self.mesh.inboxes[self.index].lock().pop_front();
+            let inbound = lock_recover(&self.mesh.inboxes[self.index]).pop_front();
             let Some(inbound) = inbound else { return };
             if let Some(key) = self.adopt(inbound) {
                 // Drive immediately: a fresh session may already have its
@@ -1295,7 +1289,7 @@ impl<E: Pairing> Worker<'_, E> {
         self.free.push(key);
         conn.want_write = false;
         self.shared.stats.migrations.fetch_add(1, Ordering::Relaxed);
-        self.mesh.inboxes[home].lock().push_back(Inbound::Migrated(Box::new(conn)));
+        lock_recover(&self.mesh.inboxes[home]).push_back(Inbound::Migrated(Box::new(conn)));
         let _ = self.shared.links[home].poller.notify();
     }
 
@@ -1614,8 +1608,9 @@ fn process_request<E: Pairing, R: rand::RngCore>(
     }));
     match outcome {
         Err(payload) => {
-            // The dispatcher panicked. The generation lock (parking_lot)
-            // unlocked during unwind; close this session only — its
+            // The dispatcher panicked. If it held a generation lock,
+            // unwinding released it poisoned and the next holder recovers
+            // it (`lock_recover`). Close this session only — its
             // SlotGuard reclaims the slot on drop.
             shared.stats.record_panic(payload.as_ref());
             conn.closing = true;

@@ -204,3 +204,78 @@ fn golden_decrypt_wire_bytes() {
         "12470abf6c21a279f8846be647a14e01b22119674648c9c3f137769920a359b9"
     );
 }
+
+/// A transport whose far end is `driver::p2_handle_frame` on one `Party2`:
+/// every frame the driver sends is answered in place, and both the frames
+/// and the reply bodies are kept for hashing.
+struct Loopback<'a, P: Pairing> {
+    p2: &'a mut scheme::Party2<P>,
+    rng: rand::rngs::StdRng,
+    frames: Vec<u8>,
+    replies: Vec<u8>,
+    pending: Option<bytes::Bytes>,
+}
+
+impl<P: Pairing> dlr::protocol::Transport for Loopback<'_, P> {
+    fn send(&mut self, msg: bytes::Bytes) -> Result<(), dlr::protocol::TransportError> {
+        let (_, body) = driver::p2_handle_frame(self.p2, 0, &msg, &mut self.rng).unwrap();
+        let body = body.expect("hello and refresh have a reply");
+        self.frames.extend_from_slice(&msg);
+        self.replies.extend_from_slice(&body);
+        self.pending = Some(driver::ok_reply(&body));
+        Ok(())
+    }
+
+    fn recv(&mut self) -> Result<bytes::Bytes, dlr::protocol::TransportError> {
+        self.pending
+            .take()
+            .ok_or(dlr::protocol::TransportError::Disconnected)
+    }
+}
+
+impl<P: Pairing> Loopback<'_, P> {
+    /// SHA-256 of `frames ‖ replies` so far, and a fresh record.
+    fn digest(&mut self) -> String {
+        let mut all = std::mem::take(&mut self.frames);
+        all.append(&mut self.replies);
+        dlr::hash::sha256::digest(&all)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    }
+}
+
+#[test]
+fn golden_hello_and_refresh_wire_bytes() {
+    // Recorded before the refresh protocol is reworked: the hello and the
+    // wire refresh must keep every byte P1 sends and P2 answers.
+    let mut r = rng(39);
+    let (pk, s1, s2) = scheme::keygen::<Toy, _>(toy_params(), &mut r);
+    let mut p1 = scheme::Party1::new(pk.clone(), s1);
+    let mut p2 = scheme::Party2::new(pk.clone(), s2);
+    let mut wire = Loopback {
+        p2: &mut p2,
+        rng: rng(40),
+        frames: Vec::new(),
+        replies: Vec::new(),
+        pending: None,
+    };
+
+    assert_eq!(driver::p1_hello(&mut wire, b"default", driver::GENERATION_ANY).unwrap(), 0);
+    assert_eq!(driver::p1_hello(&mut wire, b"key-7", 0).unwrap(), 0);
+    assert_eq!(
+        wire.digest(),
+        "316b6122dda5819797cc2aaec736467be10ada11181df3d7be48a672c957e487"
+    );
+
+    driver::p1_refresh(&mut p1, &mut wire, &mut r).unwrap();
+    assert_eq!(
+        wire.digest(),
+        "353ab14ff54fc00e4eaba6d54f99de68dddff752ce247f842e13e8540bf29e70"
+    );
+
+    // Both sides committed the same refresh: the new shares still decrypt.
+    let m = <Toy as Pairing>::Gt::random(&mut r);
+    let ct = scheme::encrypt(&pk, &m, &mut r);
+    assert_eq!(scheme::decrypt_local(&mut p1, &mut p2, &ct, &mut r).unwrap(), m);
+}

@@ -26,6 +26,11 @@ done
 echo "==> cluster integration tests (2-replica fleet, routing/failover/epoch locality)"
 cargo test -q -p dlr-cluster
 
+echo "==> replica-restart guard: routed_load_survives_replica_restart x20"
+for _ in $(seq 20); do
+    cargo test -q -p dlr-cluster --test cluster routed_load_survives_replica_restart
+done
+
 echo "==> loadgen smoke run"
 cargo run --release -q -p dlr-bench --bin loadgen -- --clients 2 --requests 5
 
