@@ -66,9 +66,9 @@ process, spawns a fleet of --replicas dlr-server instances (each key
 owned by the replica its id hashes to; the same hash picks its worker
 inside the replica), then drives the routed closed-loop load generator
 — every client follows NotMine redirects and fails over on replica death. With
---fault-ms it kills replica --fault-replica (default 0) that many ms
-into the run and restarts it after --downtime-ms, proving routed
-clients ride through the outage. --epoch-sweep-secs S rolls a staggered
+--fault-ms it kills replica --fault-replica (default 0, below --replicas)
+that many ms into the run and restarts it after --downtime-ms, proving
+routed clients ride through the outage. --epoch-sweep-secs S rolls a staggered
 epoch boundary across the running replicas every S seconds while the
 load runs; --batch-max/--batch-wait-us enable per-replica cross-request
 batching as in serve-p2. Prints aggregate and per-replica percentiles
@@ -368,6 +368,11 @@ fn cluster<E: Pairing>(args: &Args) -> Result<(), AnyError> {
     let lambda = args.get_u32_or("lambda", 64)?;
     let fault_ms = args.get_u32_or("fault-ms", 0)?;
     let fault_replica = args.get_u32_or("fault-replica", 0)? as usize;
+    if fault_replica >= replicas {
+        return Err(Box::new(ArgError(format!(
+            "--fault-replica {fault_replica} is out of range for --replicas {replicas}"
+        ))));
+    }
     let downtime_ms = args.get_u32_or("downtime-ms", 150)?;
     let epoch_sweep_secs = args.get_u32_or("epoch-sweep-secs", 0)?;
 

@@ -95,6 +95,13 @@ fn bad_usage_exits_nonzero() {
     let out = dlr().args(["cluster", "--fault-ms", "10", "--downtime-ms", "abc"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--downtime-ms"));
+    // and a replica index the fleet does not have
+    let out = dlr()
+        .args(["cluster", "--replicas", "2", "--fault-ms", "10", "--fault-replica", "5"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--fault-replica"));
     // help succeeds
     let out = dlr().args(["help"]).output().unwrap();
     assert!(out.status.success());

@@ -463,7 +463,7 @@ impl<E: Pairing> Party1<E> {
             .iter()
             .map(|ai| hpske::encrypt(key, ai, rng))
             .collect();
-        hpske::normalize(&mut f);
+        hpske::normalize(f.iter_mut().flat_map(HpskeCiphertext::coordinates_mut));
         self.device.secret.store("rand.dec.fcoins", coins_to_cell(&f));
         self.period_f = Some(f);
     }
@@ -571,12 +571,23 @@ impl<E: Pairing> Party1<E> {
             }
         };
         let key = self.skcomm.as_ref().expect("ensured by both modes");
-        let a_prime: Vec<E::G2> = (0..self.pk.params.ell).map(|_| E::G2::random(rng)).collect();
-        let f_prime: Vec<HpskeCiphertext<E::G2>> = a_prime
+        let mut a_prime: Vec<E::G2> = (0..self.pk.params.ell)
+            .map(|_| E::G2::random(rng))
+            .collect();
+        let mut f_prime: Vec<HpskeCiphertext<E::G2>> = a_prime
             .iter()
             .map(|ai| hpske::encrypt(key, ai, rng))
             .collect();
-        let f_phi = hpske::encrypt(key, &self.share.phi, rng);
+        let mut f_phi = hpske::encrypt(key, &self.share.phi, rng);
+        // Every fresh point is encoded into the message and mirrored into
+        // secret memory (`a'` twice more, as the next share): one shared
+        // inversion instead of one per encoding.
+        let cts = f_prime.iter_mut().chain([&mut f_phi]);
+        hpske::normalize(
+            a_prime
+                .iter_mut()
+                .chain(cts.flat_map(HpskeCiphertext::coordinates_mut)),
+        );
 
         // Mirror refresh randomness: a' and the G coins drawn here (the
         // coins of a period-fixed `f` are already in `rand.dec.fcoins`).

@@ -96,6 +96,12 @@ pub fn decrypt<G: Group>(key: &HpskeKey<G::Scalar>, ct: &HpskeCiphertext<G>) -> 
 }
 
 impl<G: Group> HpskeCiphertext<G> {
+    /// Every coordinate, `(b_1, …, b_κ, c_0)`, for in-place rewriting
+    /// (see [`normalize`]).
+    pub fn coordinates_mut(&mut self) -> impl Iterator<Item = &mut G> {
+        self.b.iter_mut().chain([&mut self.c0])
+    }
+
     /// Coordinate-wise product (Def. 5.1 part 1):
     /// `Dec'(self · rhs) = Dec'(self) · Dec'(rhs)`.
     ///
@@ -293,19 +299,18 @@ pub fn pair_ciphertexts_prepared<E: Pairing>(
         .collect()
 }
 
-/// Put every coordinate of a set of ciphertexts that will be kept and
-/// re-read for a whole period (paired once per decrypt, serialized once
-/// per refresh) into the group's normalized representation, with one
-/// shared [`Group::batch_normalize`] pass. The ciphertexts are unchanged
-/// as group elements.
-pub fn normalize<G: Group>(cts: &mut [HpskeCiphertext<G>]) {
-    let mut points = coordinates(cts);
+/// Put group elements that will be re-read — paired once per decrypt,
+/// serialized once per refresh, mirrored into secret memory — into the
+/// group's normalized representation, with one shared
+/// [`Group::batch_normalize`] pass (one field inversion on a curve). Pass
+/// ciphertexts through [`HpskeCiphertext::coordinates_mut`]. Every element
+/// is unchanged as a group element.
+pub fn normalize<'a, G: Group + 'a>(slots: impl IntoIterator<Item = &'a mut G>) {
+    let mut slots: Vec<&mut G> = slots.into_iter().collect();
+    let mut points: Vec<G> = slots.iter().map(|slot| **slot).collect();
     G::batch_normalize(&mut points);
-    let mut points = points.into_iter();
-    for ct in cts {
-        for slot in ct.b.iter_mut().chain([&mut ct.c0]) {
-            *slot = points.next().expect("one point per coordinate");
-        }
+    for (slot, point) in slots.iter_mut().zip(points) {
+        **slot = point;
     }
 }
 

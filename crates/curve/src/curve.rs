@@ -274,8 +274,56 @@ impl<P: SsParams> G<P> {
         }
     }
 
+    /// `[k]P` for an affine point `P = (x, y)`: the x-only Montgomery
+    /// ladder, then `y` recovered once at the end (Okeya–Sakurai).
+    ///
+    /// `y² = x³ + x` is the Montgomery curve `B·y² = x³ + A·x² + x` with
+    /// `A = 0`, `B = 1`. The ladder holds `R₀ = [j]P` and `R₁ = [j+1]P` as
+    /// `(X : Z)` pairs ([`xdbl`], [`xadd`]): 5M + 4S per bit of `k`, and it
+    /// branches only on those bits. From `(X₂ : Z₂) = [k]P` and
+    /// `(X₃ : Z₃) = [k+1]P`,
+    /// `Y = Z₃·(x·X₂ + Z₂)·(X₂ + x·Z₂) − X₃·(X₂ − x·Z₂)²` and
+    /// `W = 2·y·Z₂·Z₃` give the projective point `(W·X₂ : Y : W·Z₂)`.
+    ///
+    /// Exact for every `k` when `x ≠ 0`: `Z₂ = 0` is `[k]P = O`, and
+    /// `Z₃ = 0` is `[k]P = −P`. The only point with `x = 0` is the
+    /// 2-torsion point (0, 0), where the differential addition degenerates;
+    /// for even `k` its result is still exact (O).
+    fn ladder_mul(x: P::Fp, y: P::Fp, k: &[u64]) -> Self {
+        let nbits = dlr_math::limbs::bits_slice(k);
+        if nbits == 0 {
+            return Self::identity();
+        }
+        let one = P::Fp::one();
+        let mut r0 = (x, one);
+        let mut r1 = xdbl(r0);
+        for i in (0..nbits - 1).rev() {
+            if (k[(i / 64) as usize] >> (i % 64)) & 1 == 1 {
+                r0 = xadd(r0, r1, x);
+                r1 = xdbl(r1);
+            } else {
+                r1 = xadd(r0, r1, x);
+                r0 = xdbl(r0);
+            }
+        }
+        let ((x2, z2), (x3, z3)) = (r0, r1);
+        if z2.is_zero() {
+            return Self::identity();
+        }
+        if z3.is_zero() {
+            return Self::jacobian(x, -y, one);
+        }
+        let xz2 = x * z2;
+        let y_num = z3 * (x * x2 + z2) * (x2 + xz2) - x3 * (x2 - xz2).square();
+        let w = (y * z2 * z3).double();
+        // Projective (X : Y : Z) is Jacobian (X·Z, Y·Z², Z).
+        let z = w * z2;
+        Self::jacobian(w * x2 * z, y_num * z.square(), z)
+    }
+
     /// Map arbitrary bytes to a group element (try-and-increment +
-    /// cofactor clearing). Deterministic in `(domain, msg)`.
+    /// cofactor clearing on an x-only Montgomery ladder). Deterministic in
+    /// `(domain, msg)`.
     pub fn hash_to_group(domain: &[u8], msg: &[u8]) -> Self {
         let xlen = P::Fp::byte_len() + 16; // oversample to smooth the mod-p bias
         // One HKDF-Extract for the whole counter walk: each attempt only
@@ -291,8 +339,7 @@ impl<P: SsParams> G<P> {
             if let Some(y) = rhs.sqrt() {
                 // pick the sign from the last derived byte for determinism
                 let y = if bytes[xlen] & 1 == 1 { -y } else { y };
-                let point = Self::jacobian(x, y, P::Fp::one());
-                let cleared = point.pow_vartime_limbs(P::COFACTOR);
+                let cleared = Self::ladder_mul(x, y, P::COFACTOR);
                 if !cleared.z.is_zero() {
                     return cleared;
                 }
@@ -300,6 +347,24 @@ impl<P: SsParams> G<P> {
         }
         unreachable!("hash_to_group exhausted the counter space")
     }
+}
+
+/// x-only doubling on `y² = x³ + x`, both coordinates scaled by 2 to drop
+/// the `(A + 2)/4 = 1/2` multiply: `AA = (X+Z)²`, `BB = (X−Z)²`,
+/// `X₂ = 2·AA·BB`, `Z₂ = (AA − BB)·(AA + BB)`.
+fn xdbl<F: FieldElement>((x, z): (F, F)) -> (F, F) {
+    let aa = (x + z).square();
+    let bb = (x - z).square();
+    ((aa * bb).double(), (aa - bb) * (aa + bb))
+}
+
+/// x-only differential addition `R₀ + R₁` where `R₁ − R₀` has the affine
+/// x-coordinate `xd ≠ 0`: `DA = (X₁−Z₁)(X₀+Z₀)`, `CB = (X₁+Z₁)(X₀−Z₀)`,
+/// `X = (DA + CB)²`, `Z = xd·(DA − CB)²`.
+fn xadd<F: FieldElement>((x0, z0): (F, F), (x1, z1): (F, F), xd: F) -> (F, F) {
+    let da = (x1 - z1) * (x0 + z0);
+    let cb = (x1 + z1) * (x0 - z0);
+    ((da + cb).square(), xd * (da - cb).square())
 }
 
 fn derive_generator<P: SsParams>() -> G<P> {
@@ -696,5 +761,114 @@ mod tests {
         });
         assert_eq!(report.g_op, 1);
         assert_eq!(report.g_pow, 3); // 1 pow + 2 from the multiexp
+    }
+
+    /// The cofactor-clearing ladder against the window engine it replaced,
+    /// `pow_vartime_limbs(COFACTOR)`, on points outside the subgroup.
+    mod ladder {
+        use super::*;
+        use crate::params::{Ss1024, Ss768};
+        use crate::util::field_modulus_limbs;
+        use proptest::prelude::*;
+
+        /// A uniformly random curve point, almost never in the subgroup.
+        fn raw_point<P: SsParams>(r: &mut impl RngCore) -> (P::Fp, P::Fp) {
+            loop {
+                let x = P::Fp::random(r);
+                if let Some(y) = (x.square() * x + x).sqrt() {
+                    return (x, y);
+                }
+            }
+        }
+
+        fn window<P: SsParams>(x: P::Fp, y: P::Fp, k: &[u64]) -> G<P> {
+            G::<P>::from_affine(x, y)
+                .expect("on the curve")
+                .pow_vartime_limbs(k)
+        }
+
+        /// `n` random points, each with both signs of `y`.
+        fn clears_like_the_window_engine<P: SsParams>(n: usize, seed: u64) {
+            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+            for _ in 0..n {
+                let (x, y) = raw_point::<P>(&mut r);
+                for y in [y, -y] {
+                    let cleared = G::<P>::ladder_mul(x, y, P::COFACTOR);
+                    assert_eq!(cleared, window(x, y, P::COFACTOR), "{}", P::NAME);
+                    assert!(cleared.is_on_curve());
+                }
+            }
+        }
+
+        #[test]
+        fn toy_cofactor_matches_window_engine() {
+            clears_like_the_window_engine::<Toy>(500, 11);
+        }
+
+        #[test]
+        fn ss_cofactors_match_window_engine() {
+            clears_like_the_window_engine::<Ss512>(3, 12);
+            clears_like_the_window_engine::<Ss768>(2, 13);
+            clears_like_the_window_engine::<Ss1024>(2, 14);
+        }
+
+        #[test]
+        fn two_torsion_point_clears_to_identity() {
+            let zero = <Toy as SsParams>::Fp::zero();
+            assert_eq!(window::<Toy>(zero, zero, Toy::COFACTOR), GT::identity());
+            assert_eq!(GT::ladder_mul(zero, zero, Toy::COFACTOR), GT::identity());
+            assert_eq!(GT::ladder_mul(zero, zero, &[2]), GT::identity());
+        }
+
+        /// `[r]H` has order dividing the cofactor, so clearing it gives O
+        /// (`Z₂ = 0`) and `hash_to_group` would try the next counter.
+        #[test]
+        fn cofactor_torsion_clears_to_identity() {
+            let r_limbs = field_modulus_limbs::<<Toy as SsParams>::Fr>();
+            let mut r = rand::rngs::StdRng::seed_from_u64(15);
+            let mut seen = 0;
+            while seen < 8 {
+                let (x, y) = raw_point::<Toy>(&mut r);
+                let Some((tx, ty)) = window::<Toy>(x, y, &r_limbs).to_affine() else {
+                    continue;
+                };
+                seen += 1;
+                assert_eq!(GT::ladder_mul(tx, ty, Toy::COFACTOR), GT::identity());
+                assert_eq!(window::<Toy>(tx, ty, Toy::COFACTOR), GT::identity());
+            }
+        }
+
+        /// Scalars that reach the ladder's edge branches: `[r]P = O`
+        /// (`Z₂ = 0`) and `[r − 1]P = −P` (`Z₃ = 0`), plus the shortest ones.
+        #[test]
+        fn edge_scalars_on_a_subgroup_point() {
+            let (x, y) = GT::random(&mut rng()).to_affine().unwrap();
+            let r_limbs = field_modulus_limbs::<<Toy as SsParams>::Fr>();
+            let r_minus_1 = [r_limbs[0] - 1];
+            let p = GT::from_affine(x, y).unwrap();
+            assert_eq!(GT::ladder_mul(x, y, &r_limbs), GT::identity());
+            assert_eq!(GT::ladder_mul(x, y, &r_minus_1), p.inverse());
+            for k in [0u64, 1, 2, 3, 4, 5] {
+                assert_eq!(
+                    GT::ladder_mul(x, y, &[k]),
+                    window::<Toy>(x, y, &[k]),
+                    "k={k}"
+                );
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Any point, any two-limb scalar: the ladder and the window
+            /// engine agree.
+            #[test]
+            fn ladder_equals_window_engine(seed in any::<u64>(), k0 in any::<u64>(), k1 in any::<u64>()) {
+                let (x, y) = raw_point::<Toy>(&mut rand::rngs::StdRng::seed_from_u64(seed));
+                for k in [&[k0][..], &[k0, k1][..], Toy::COFACTOR] {
+                    prop_assert_eq!(GT::ladder_mul(x, y, k), window::<Toy>(x, y, k));
+                }
+            }
+        }
     }
 }

@@ -203,20 +203,21 @@ mod params_validate {
     use dlr_math::PrimeField;
     use rand::SeedableRng;
 
+    /// Big-endian bytes to little-endian `u64` limbs.
+    fn to_limbs(be: &[u8]) -> Vec<u64> {
+        let mut le: Vec<u8> = be.to_vec();
+        le.reverse();
+        le.chunks(8)
+            .map(|ch| {
+                let mut b = [0u8; 8];
+                b[..ch.len()].copy_from_slice(ch);
+                u64::from_le_bytes(b)
+            })
+            .collect()
+    }
+
     /// Schoolbook `c · r` into a wide accumulator, then compare to `p + 1`.
     fn check_cofactor_relation(p_be: &[u8], r_be: &[u8], c: &[u64]) {
-        // big-endian bytes -> u64 LE limbs
-        fn to_limbs(be: &[u8]) -> Vec<u64> {
-            let mut le: Vec<u8> = be.to_vec();
-            le.reverse();
-            le.chunks(8)
-                .map(|ch| {
-                    let mut b = [0u8; 8];
-                    b[..ch.len()].copy_from_slice(ch);
-                    u64::from_le_bytes(b)
-                })
-                .collect()
-        }
         let r = to_limbs(r_be);
         let p = to_limbs(p_be);
         let mut prod = vec![0u64; r.len() + c.len() + 1];
@@ -252,6 +253,20 @@ mod params_validate {
         }
     }
 
+    /// `gcd(c + 1, p + 1) = 1`: no curve point has `[c]P = −P` (that needs
+    /// `ord(P) | c + 1`, and `ord(P) | p + 1`), so the cofactor ladder's
+    /// `Z₃ = 0` branch is unreachable from `hash_to_group`.
+    fn check_cofactor_successor_coprime(p_be: &[u8], c: &[u64]) {
+        use dlr_math::bignum;
+        let mut a = bignum::add(c, &[1]);
+        let mut b = bignum::normalize(bignum::add(&to_limbs(p_be), &[1]));
+        while !b.is_empty() {
+            let (_, rem) = bignum::div_rem(&a, &b);
+            a = std::mem::replace(&mut b, bignum::normalize(rem));
+        }
+        assert_eq!(bignum::normalize(a), [1], "gcd(c + 1, p + 1) != 1");
+    }
+
     fn validate<P: SsParams, const LP: usize, const LR: usize>() {
         let p = dlr_math::limbs::from_bytes_be::<LP>(&P::Fp::modulus_be_bytes()).unwrap();
         let r = dlr_math::limbs::from_bytes_be::<LR>(&P::Fr::modulus_be_bytes()).unwrap();
@@ -264,6 +279,7 @@ mod params_validate {
             &P::Fr::modulus_be_bytes(),
             P::COFACTOR,
         );
+        check_cofactor_successor_coprime(&P::Fp::modulus_be_bytes(), P::COFACTOR);
     }
 
     #[test]

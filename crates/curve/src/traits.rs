@@ -105,16 +105,17 @@ pub trait Group:
     }
 
     /// Exponentiation by a little-endian limb slice (uninstrumented; used
-    /// internally for cofactor clearing and subgroup checks, and as the
-    /// engine behind [`Self::pow`]).
+    /// internally for subgroup checks, as the engine behind [`Self::pow`],
+    /// and as the reference the curve's cofactor-clearing ladder is tested
+    /// against).
     ///
     /// Sliding-window recoding over a table of odd powers
     /// `self, self³, …, self^{2^w−1}`: the same number of doublings as the
     /// binary chain but ~`nbits/(w+1)` general operations instead of
     /// ~`nbits/2`, for `2^{w−1}` precomputed multiples. Correct for
     /// **arbitrary** slices, including values at or above the group order
-    /// (the subgroup check exponentiates by `r` itself, cofactor clearing
-    /// by `(p+1)/r`).
+    /// (the subgroup check exponentiates by `r` itself, the cofactor
+    /// reference by `(p+1)/r`).
     fn pow_vartime_limbs(&self, exp: &[u64]) -> Self {
         let nbits = dlr_math::limbs::bits_slice(exp);
         if nbits == 0 {

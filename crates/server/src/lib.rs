@@ -32,7 +32,8 @@ pub mod server;
 
 pub use keyring::{persist_atomically, KeyEntry, KeyState, Keyring};
 pub use loadgen::{
-    run_loadgen, run_loadgen_ladder, LadderConfig, LadderRung, LoadgenConfig, LoadgenOutcome,
+    run_loadgen, run_loadgen_ladder, FailureTally, LadderConfig, LadderRung, LoadgenConfig,
+    LoadgenOutcome,
 };
 pub use server::{
     EpochHook, OwnerHint, Server, ServerConfig, ServerHandle, ServerStats, StatsSnapshot,

@@ -15,12 +15,13 @@
 //! harness).
 
 use dlr_core::dlr::{self, Ciphertext, Party1, PublicKey, Share1};
-use dlr_core::driver::{self, RetryPolicy, GENERATION_ANY};
+use dlr_core::driver::{self, ErrorCode, RetryPolicy, GENERATION_ANY};
+use dlr_core::error::CoreError;
 use dlr_curve::{Group, Pairing};
 use dlr_math::FieldElement;
 use dlr_metrics::Report;
 use dlr_protocol::transport::{new_transcript, RecordingTransport, TcpTransport};
-use dlr_protocol::WireStats;
+use dlr_protocol::{TransportError, WireStats};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -75,6 +76,9 @@ pub struct LoadgenOutcome {
     pub successes: usize,
     /// Requests that failed (after per-request reconnects).
     pub failures: usize,
+    /// [`Self::failures`] by the error that ended each request; sums to
+    /// `failures`.
+    pub failure_kinds: FailureTally,
     /// Client threads that panicked mid-run. Their unreported requests
     /// are counted as failures; the run itself still completes and
     /// reports the surviving clients' numbers.
@@ -170,6 +174,83 @@ impl LoadgenOutcome {
     }
 }
 
+/// Why a failed request gave up: the error of its last attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FailureKind {
+    /// The TCP connect was refused or failed.
+    Connect,
+    /// The session's hello failed (other than `Busy` or a timeout).
+    Hello,
+    /// The server answered [`ErrorCode::Busy`].
+    Busy,
+    /// A read deadline expired.
+    ReadTimeout,
+    /// Anything else, including the requests of a panicked client.
+    Other,
+}
+
+impl FailureKind {
+    fn of(err: &CoreError, in_hello: bool) -> Self {
+        match err {
+            CoreError::Remote { code, .. } if *code == ErrorCode::Busy as u8 => Self::Busy,
+            CoreError::Transport(TransportError::TimedOut) => Self::ReadTimeout,
+            _ if in_hello => Self::Hello,
+            _ => Self::Other,
+        }
+    }
+}
+
+/// Failed requests counted by the error that ended each one, so a run
+/// that fails says which error its requests hit.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FailureTally {
+    /// TCP connect failures.
+    pub connect: usize,
+    /// Hello failures other than `Busy` and timeouts.
+    pub hello: usize,
+    /// `Busy` replies, to the hello or to a request.
+    pub busy: usize,
+    /// Expired read deadlines.
+    pub read_timeout: usize,
+    /// Every other error, and the requests of panicked clients.
+    pub other: usize,
+}
+
+impl FailureTally {
+    fn record(&mut self, kind: FailureKind) {
+        *match kind {
+            FailureKind::Connect => &mut self.connect,
+            FailureKind::Hello => &mut self.hello,
+            FailureKind::Busy => &mut self.busy,
+            FailureKind::ReadTimeout => &mut self.read_timeout,
+            FailureKind::Other => &mut self.other,
+        } += 1;
+    }
+
+    fn merge(&mut self, rhs: &Self) {
+        self.connect += rhs.connect;
+        self.hello += rhs.hello;
+        self.busy += rhs.busy;
+        self.read_timeout += rhs.read_timeout;
+        self.other += rhs.other;
+    }
+
+    /// Failed requests of every kind.
+    pub fn total(&self) -> usize {
+        self.connect + self.hello + self.busy + self.read_timeout + self.other
+    }
+}
+
+impl core::fmt::Display for FailureTally {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "connect {}, hello {}, busy {}, read timeout {}, other {}",
+            self.connect, self.hello, self.busy, self.read_timeout, self.other
+        )
+    }
+}
+
 /// Configuration for a loadgen *ladder*: the same closed-loop workload
 /// repeated at a sequence of concurrency levels ("rungs"), so throughput
 /// scaling with client count can be read off one run.
@@ -238,7 +319,7 @@ pub fn run_loadgen_ladder<E: Pairing, R: rand::RngCore>(
 
 struct ClientOutcome {
     successes: usize,
-    failures: usize,
+    failures: FailureTally,
     mismatches: usize,
     latencies_ns: Vec<u64>,
     wire: WireStats,
@@ -313,7 +394,11 @@ pub fn run_loadgen<E: Pairing, R: rand::RngCore>(
         clients: config.clients,
         requests: config.clients * config.requests_per_client,
         successes: 0,
-        failures: client_panics * config.requests_per_client,
+        failures: 0,
+        failure_kinds: FailureTally {
+            other: client_panics * config.requests_per_client,
+            ..FailureTally::default()
+        },
         mismatches: 0,
         client_panics,
         elapsed,
@@ -324,26 +409,28 @@ pub fn run_loadgen<E: Pairing, R: rand::RngCore>(
     };
     for client in per_client {
         outcome.successes += client.successes;
-        outcome.failures += client.failures;
+        outcome.failure_kinds.merge(&client.failures);
         outcome.mismatches += client.mismatches;
         outcome.latencies_ns.extend(client.latencies_ns);
         outcome.wire.merge(&client.wire);
     }
     outcome.latencies_ns.sort_unstable();
+    outcome.failures = outcome.failure_kinds.total();
     outcome
 }
 
 fn connect(
     addr: SocketAddr,
     config: &LoadgenConfig,
-) -> Option<RecordingTransport<TcpTransport>> {
-    let stream = TcpStream::connect(addr).ok()?;
+) -> Result<RecordingTransport<TcpTransport>, FailureKind> {
+    let stream = TcpStream::connect(addr).map_err(|_| FailureKind::Connect)?;
     let tcp = TcpTransport::new(stream);
     let _ = tcp.set_nodelay(true);
     let _ = tcp.set_read_timeout(config.read_timeout);
     let mut transport = RecordingTransport::new(tcp, new_transcript());
-    driver::p1_hello(&mut transport, &config.key_id, GENERATION_ANY).ok()?;
-    Some(transport)
+    driver::p1_hello(&mut transport, &config.key_id, GENERATION_ANY)
+        .map_err(|e| FailureKind::of(&e, true))?;
+    Ok(transport)
 }
 
 fn client_loop<E: Pairing>(
@@ -357,7 +444,7 @@ fn client_loop<E: Pairing>(
 ) -> ClientOutcome {
     let mut out = ClientOutcome {
         successes: 0,
-        failures: 0,
+        failures: FailureTally::default(),
         mismatches: 0,
         latencies_ns: Vec::with_capacity(config.requests_per_client),
         wire: WireStats::default(),
@@ -380,22 +467,25 @@ fn client_loop<E: Pairing>(
     for _ in 0..config.requests_per_client {
         let mut done = false;
         while !done {
-            let Some(t) = transport.as_mut() else {
-                // (Re)connect failed: burn one reconnect credit, fail the
-                // request if the budget is gone.
-                if reconnects >= config.max_reconnects {
-                    out.failures += 1;
-                    done = true;
+            let t = match transport.as_mut() {
+                Ok(t) => t,
+                Err(kind) => {
+                    // (Re)connect failed: burn one reconnect credit, fail
+                    // the request if the budget is gone.
+                    if reconnects >= config.max_reconnects {
+                        out.failures.record(*kind);
+                        done = true;
+                        continue;
+                    }
+                    std::thread::sleep(backoff.backoff_delay_jittered(reconnects as u32));
+                    reconnects += 1;
+                    transport = connect(addr, config);
+                    if let Err(kind) = transport {
+                        out.failures.record(kind);
+                        done = true;
+                    }
                     continue;
                 }
-                std::thread::sleep(backoff.backoff_delay_jittered(reconnects as u32));
-                reconnects += 1;
-                transport = connect(addr, config);
-                if transport.is_none() {
-                    out.failures += 1;
-                    done = true;
-                }
-                continue;
             };
             let started = Instant::now();
             match driver::p1_decrypt(&mut p1, &ct, t, &mut rng) {
@@ -411,21 +501,68 @@ fn client_loop<E: Pairing>(
                 Err(e) if driver::is_retryable(&e) && reconnects < config.max_reconnects => {
                     std::thread::sleep(backoff.backoff_delay_jittered(reconnects as u32));
                     reconnects += 1;
-                    if let Some(dead) = transport.take() {
+                    if let Ok(dead) = &transport {
                         out.wire.merge(&dead.wire_stats());
                     }
                     transport = connect(addr, config);
                 }
-                Err(_) => {
-                    out.failures += 1;
+                Err(e) => {
+                    out.failures.record(FailureKind::of(&e, false));
                     done = true;
                 }
             }
         }
     }
-    if let Some(mut t) = transport.take() {
+    if let Ok(mut t) = transport {
         let _ = driver::p1_shutdown(&mut t);
         out.wire.merge(&t.wire_stats());
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlr_core::params::SchemeParams;
+    use dlr_curve::Toy;
+    use rand::SeedableRng;
+
+    #[test]
+    fn a_rung_against_a_closed_port_reports_connect_failures() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let params = SchemeParams::derive::<<Toy as Pairing>::Scalar>(16, 64);
+        let (pk, share1, _) = dlr::keygen::<Toy, _>(params, &mut rng);
+        // Bind, then drop: nothing listens on this port any more.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let ladder = LadderConfig {
+            rungs: vec![2],
+            requests_per_client: 3,
+            base: LoadgenConfig {
+                max_reconnects: 1,
+                backoff: RetryPolicy {
+                    base_delay: Duration::from_millis(1),
+                    max_delay: Duration::from_millis(1),
+                    ..RetryPolicy::default()
+                },
+                ..LoadgenConfig::default()
+            },
+        };
+        let rungs = run_loadgen_ladder::<Toy, _>(addr, &pk, &share1, &ladder, &mut rng);
+        let outcome = &rungs[0].outcome;
+        assert_eq!((outcome.successes, outcome.failures), (0, 6));
+        assert_eq!(
+            outcome.failure_kinds,
+            FailureTally {
+                connect: 6,
+                ..FailureTally::default()
+            }
+        );
+        assert_eq!(
+            outcome.failure_kinds.to_string(),
+            "connect 6, hello 0, busy 0, read timeout 0, other 0"
+        );
+    }
 }

@@ -279,3 +279,58 @@ fn golden_hello_and_refresh_wire_bytes() {
     let ct = scheme::encrypt(&pk, &m, &mut r);
     assert_eq!(scheme::decrypt_local(&mut p1, &mut p2, &ct, &mut r).unwrap(), m);
 }
+
+/// SHA-256 of the encodings of `n` seeded `G::random` draws followed by
+/// `G::generator()`: both go through `hash_to_group`.
+fn sampling_digest<P: Pairing>(seed: u64, n: usize) -> String {
+    let mut r = rng(seed);
+    let mut all = Vec::new();
+    for _ in 0..n {
+        all.extend_from_slice(&P::G1::random(&mut r).to_bytes());
+    }
+    all.extend_from_slice(&P::G1::generator().to_bytes());
+    dlr::hash::sha256::digest(&all)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+#[test]
+fn golden_sampling_bytes() {
+    // Recorded before cofactor clearing moved to an x-only ladder: every
+    // sampled point, and the SS512 refresh built from them, must keep
+    // every byte.
+    assert_eq!(
+        sampling_digest::<Toy>(43, 64),
+        "5628cfb93ccc7cd5ca48ff946f2890a01785973b62cbe4a0a949b7b9f3b25490"
+    );
+    assert_eq!(
+        sampling_digest::<Ss512>(44, 8),
+        "0422bf79588b14e54b1676cfeae2f41f729043025c6235837aad8ac5e9655ddd"
+    );
+
+    let mut r = rng(45);
+    let params = SchemeParams::derive::<<Ss512 as Pairing>::Scalar>(16, 64);
+    let (pk, s1, s2) = scheme::keygen::<Ss512, _>(params, &mut r);
+    let mut p1 = scheme::Party1::new(pk.clone(), s1);
+    let mut p2 = scheme::Party2::new(pk.clone(), s2);
+    let mut wire = Loopback {
+        p2: &mut p2,
+        rng: rng(46),
+        frames: Vec::new(),
+        replies: Vec::new(),
+        pending: None,
+    };
+    driver::p1_refresh(&mut p1, &mut wire, &mut r).unwrap();
+    assert_eq!(
+        wire.digest(),
+        "0d6e710a924be16ef594fb65e86f30a92d64ad0173026b2c6ac758f7e15919c4"
+    );
+
+    let m = <Ss512 as Pairing>::Gt::random(&mut r);
+    let ct = scheme::encrypt(&pk, &m, &mut r);
+    assert_eq!(
+        scheme::decrypt_local(&mut p1, &mut p2, &ct, &mut r).unwrap(),
+        m
+    );
+}

@@ -194,7 +194,7 @@ proptest! {
         limbs in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..5),
     ) {
         // Arbitrary limb slices — including values far above the group
-        // order, as used by cofactor clearing and subgroup checks.
+        // order, as used by subgroup checks and the cofactor reference.
         let mut r = rng_from(seed);
         let g = G::<Toy>::random(&mut r);
         prop_assert_eq!(g.pow_vartime_limbs(&limbs), naive_pow_limbs(&g, &limbs));
