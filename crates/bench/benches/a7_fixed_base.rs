@@ -10,7 +10,7 @@
 //!   op counts, so the speedup is pure table reuse, not a changed formula.
 //! * `generator_pow/fixed` vs `generator_pow/naive` — the `g^t` half in
 //!   isolation, Toy and SS512.
-//! * `varbase_pow/window` vs `varbase_pow/ladder` — the sliding-window
+//! * `varbase_pow/window` vs `varbase_pow/ladder` — the signed-window
 //!   variable-base engine vs the Montgomery ladder (no tables for either).
 //! * `hpske_pow/tables` vs `hpske_pow/direct` — coordinate-wise ciphertext
 //!   powers through [`HpskeTables`] vs `HpskeCiphertext::pow`, the
@@ -98,7 +98,7 @@ fn benches(c: &mut Criterion) {
         group.finish();
     }
 
-    // --- variable-base: sliding window vs ladder --------------------------
+    // --- variable-base: signed window vs ladder ---------------------------
     {
         let mut group = c.benchmark_group("a7/varbase_pow");
         let mut rng = StdRng::seed_from_u64(45);

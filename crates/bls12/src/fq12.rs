@@ -58,30 +58,6 @@ impl Fq12 {
         let c0 = Fq6::one() + b2.mul_by_v().double();
         Self::new(c0, ab.double())
     }
-
-    /// Variable-time exponentiation using cyclotomic squarings (valid for
-    /// unitary bases only).
-    pub fn pow_vartime_unitary(&self, exp: &[u64]) -> Self {
-        debug_assert!(self.is_unitary());
-        let mut nbits = 0u32;
-        for (i, w) in exp.iter().enumerate() {
-            if *w != 0 {
-                nbits = i as u32 * 64 + (64 - w.leading_zeros());
-            }
-        }
-        let mut acc = Self::one();
-        let mut i = nbits;
-        while i > 0 {
-            i -= 1;
-            // `acc` stays unitary: products and squares of unitary
-            // elements are unitary.
-            acc = acc.cyclotomic_square();
-            if (exp[(i / 64) as usize] >> (i % 64)) & 1 == 1 {
-                acc *= *self;
-            }
-        }
-        acc
-    }
 }
 
 impl core::ops::Add for Fq12 {
@@ -233,7 +209,6 @@ mod tests {
             let u = a.conjugate_q6() * a.inverse().unwrap();
             assert!(u.is_unitary());
             assert_eq!(u.cyclotomic_square(), u.square());
-            assert_eq!(u.pow_vartime_unitary(&[12345]), u.pow_vartime(&[12345]));
         }
     }
 

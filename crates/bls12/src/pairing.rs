@@ -132,8 +132,9 @@ pub fn final_exponentiation(f: &Fq12) -> Option<Fq12> {
     let f1 = f.conjugate_q6() * f.inverse()?;
     let f2 = f1.pow_vartime(q_squared()) * f1;
     // hard part: ^(q⁴ − q² + 1)/r — f2 is unitary after the easy part, so
-    // cyclotomic squarings apply
-    Some(f2.pow_vartime_unitary(hard_part_exponent()))
+    // it is a `Gt` operand: the group's engine squares cyclotomically and
+    // inverts by conjugation
+    Some(Gt(f2).pow_vartime_limbs(hard_part_exponent()).0)
 }
 
 /// The ate pairing. Returns the identity when either input is the point
@@ -343,6 +344,23 @@ mod tests {
         let q = G2::random(&mut r);
         assert!(pairing(&G1::identity(), &q).is_identity());
         assert!(pairing(&p, &G2::identity()).is_identity());
+    }
+
+    #[test]
+    fn gt_pow_matches_plain_pow_on_unitary_elements() {
+        // The final exponentiation's hard part runs on `Gt` operands that
+        // are unitary but not yet in μ_r: the engine's cyclotomic squarings
+        // and conjugate inverses must still give the plain power.
+        let mut r = rng();
+        for _ in 0..4 {
+            let a = Fq12::random(&mut r);
+            let Some(inv) = a.inverse() else { continue };
+            let u = a.conjugate_q6() * inv;
+            assert!(u.is_unitary());
+            for e in [&[12345u64][..], &[u64::MAX; 4][..]] {
+                assert_eq!(Gt(u).pow_vartime_limbs(e).0, u.pow_vartime(e));
+            }
+        }
     }
 
     #[test]

@@ -739,39 +739,12 @@ impl<E: Pairing> Party2<E> {
         })
     }
 
-    /// Decryption step 2 over a whole batch of concurrent requests for
-    /// this key: one [`BatchDecryptCtx`](dlr_curve::BatchDecryptCtx) is
-    /// built from the share vector and reused across every request, so the
-    /// exponent recoding and multiexp dispatch are paid once per batch
-    /// instead of once per coordinate per request.
-    ///
-    /// Per-request semantics are **identical** to calling
-    /// [`Self::dec_respond`] in a loop: each request gets its own
-    /// `dec.p2.respond` span with the same operation fingerprint
-    /// (`(κ+1)·ℓ` target-group exponentiations + `κ+1` mul + `κ+1` div
-    /// ops), a malformed-length request fails alone with the same error,
-    /// and the returned elements are bit-identical (canonical
-    /// representations of the same products). `bench-compare` therefore
-    /// cannot tell a batch of 64 from 64 sequential calls. The *engine*
-    /// differs: the context runs the generic unsigned Straus/Pippenger
-    /// dispatch, while the sequential path runs `GT`'s signed-window
-    /// engine, which is faster per multi-exponentiation than the shared
-    /// recoding saves — so on the target group a batch costs more CPU
-    /// per request than the inline path.
+    /// Decryption step 2 over a batch of requests for this key: exactly
+    /// [`Self::dec_respond`] on each, in order. Each request gets its own
+    /// `dec.p2.respond` span and operation fingerprint, and a
+    /// malformed-length request fails alone with the same error.
     pub fn dec_respond_batch(&mut self, msgs: &[&DecMsg1<E>]) -> Vec<Result<DecMsg2<E>, CoreError>> {
-        let ctx = dlr_curve::BatchDecryptCtx::new(&self.share.s);
-        msgs.iter()
-            .map(|msg| {
-                dlr_metrics::span("dec.p2.respond", || {
-                    if msg.d.len() != self.share.s.len() {
-                        return Err(CoreError::Protocol("dec message length mismatch"));
-                    }
-                    let prod = HpskeCiphertext::product_of_powers_ctx(&msg.d, &ctx);
-                    let c_prime = msg.d_b.mul(&prod).div(&msg.d_phi);
-                    Ok(DecMsg2 { c_prime })
-                })
-            })
-            .collect()
+        msgs.iter().map(|m| self.dec_respond(m)).collect()
     }
 
     /// Refresh protocol, step 2: choose `s'`, reply with

@@ -730,8 +730,8 @@ pub fn p2_handle_frame<E: Pairing, R: RngCore + ?Sized>(
 /// executor (DESIGN.md §5).
 ///
 /// Each body is parsed independently, the parse survivors run through
-/// [`Party2::dec_respond_batch`] (one shared recoding context; identical
-/// per-request `dec.p2.respond` spans and operation counts), and reply
+/// [`Party2::dec_respond_batch`] (the inline [`Party2::dec_respond`] per
+/// request, so identical spans, operation counts and engine), and reply
 /// bodies come back in input order. A malformed or length-mismatched
 /// request fails **alone**: its siblings still produce `ok` reply bodies,
 /// exactly as if each had been served by [`p2_handle_frame`] in sequence.

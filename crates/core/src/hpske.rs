@@ -164,30 +164,6 @@ impl<G: Group> HpskeCiphertext<G> {
         Self { b, c0 }
     }
 
-    /// [`Self::product_of_powers`] against a pre-built
-    /// [`BatchDecryptCtx`](dlr_curve::BatchDecryptCtx) over the same
-    /// exponent vector: identical result, identical `κ + 1` × `ℓ`
-    /// exponentiation accounting, but the exponent recoding and engine
-    /// dispatch are amortized across every call sharing the context — the
-    /// cross-request batching path of the server (DESIGN.md §5).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths are inconsistent with the context.
-    pub fn product_of_powers_ctx(cts: &[Self], ctx: &dlr_curve::BatchDecryptCtx<G>) -> Self {
-        assert_eq!(cts.len(), ctx.len(), "cts/ctx length mismatch");
-        assert!(!cts.is_empty(), "need at least one ciphertext");
-        let kappa = cts[0].b.len();
-        let mut b = Vec::with_capacity(kappa);
-        for j in 0..kappa {
-            let bases: Vec<G> = cts.iter().map(|ct| ct.b[j]).collect();
-            b.push(ctx.product_of_powers(&bases));
-        }
-        let bases: Vec<G> = cts.iter().map(|ct| ct.c0).collect();
-        let c0 = ctx.product_of_powers(&bases);
-        Self { b, c0 }
-    }
-
     /// Serialized length for a given `κ`.
     pub fn byte_len(kappa: usize) -> usize {
         (kappa + 1) * G::byte_len()
@@ -387,14 +363,7 @@ mod tests {
             std::hint::black_box(acc);
             t.elapsed().as_nanos() as u64 / piters as u64
         });
-        let straus = best(&mut || {
-            let t = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(dlr_curve::multiexp::straus_raw(&coins, &key.sigma));
-            }
-            t.elapsed().as_nanos() as u64 / iters as u64
-        });
-        eprintln!("TOY: raw_op={add}ns raw_double={dbl}ns straus_raw(3)={straus}ns");
+        eprintln!("TOY: raw_op={add}ns raw_double={dbl}ns");
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! group element in different coordinates compares equal.
 
 use crate::fixedbase::FixedBase;
+use crate::multiexp::OpCosts;
 use crate::params::SsParams;
 use crate::traits::{Group, GroupKind};
+use crate::util::field_modulus_limbs;
 use core::hash::{Hash, Hasher};
 use core::marker::PhantomData;
 use dlr_math::{FieldElement, PrimeField};
@@ -96,12 +98,17 @@ impl<P: SsParams> G<P> {
         Self::jacobian(t, y3, z3)
     }
 
+    /// `self + rhs`: the mixed formula when `rhs` is normalized (`Z = 1`),
+    /// add-2007-bl otherwise.
     fn add_internal(&self, rhs: &Self) -> Self {
         if self.z.is_zero() {
             return *rhs;
         }
         if rhs.z.is_zero() {
             return *self;
+        }
+        if rhs.z == P::Fp::one() {
+            return self.add_mixed(rhs);
         }
         // add-2007-bl
         let z1z1 = self.z.square();
@@ -129,8 +136,9 @@ impl<P: SsParams> G<P> {
 
     /// Mixed addition `self + rhs` for an **affine** `rhs` (`Z₂ = 1`, not
     /// infinity): madd-2007-bl, 7M + 4S against the 11M + 5S of
-    /// [`Self::add_internal`]. The multiexp inner loop batch-normalizes
-    /// its window tables once to earn this discount on every table
+    /// [`Self::add_internal`], which dispatches here. The exponentiation
+    /// engine batch-normalizes its window tables once
+    /// ([`Group::batch_normalize`]) to earn this discount on every table
     /// addition.
     fn add_mixed(&self, rhs: &Self) -> Self {
         debug_assert!(rhs.z == P::Fp::one(), "add_mixed rhs must be affine");
@@ -156,84 +164,6 @@ impl<P: SsParams> G<P> {
         let y3 = r * (v - x3) - (self.y * j).double();
         let z3 = (self.z + h).square() - z1z1 - hh;
         Self::jacobian(x3, y3, z3)
-    }
-
-    /// Interleaved signed-window (wNAF) multi-exponentiation.
-    ///
-    /// The curve-specialized engine behind [`Group::product_of_powers`]:
-    /// point negation is free here (negate `y`), so signed recoding
-    /// ([`dlr_math::limbs::wnaf_digits`]) halves the window tables to odd
-    /// multiples and thins nonzero digits to `1/(w+1)` per bit, and the
-    /// tables are batch-normalized so every window addition runs the
-    /// cheaper [`Self::add_mixed`] formula. Wide batches where per-base
-    /// tables stop paying (`ℓ = 3κ` in the heavy-leakage profiles) are
-    /// routed to the table-free [`crate::multiexp::pippenger_raw`] by
-    /// comparing both engines' deterministic cost models.
-    fn wnaf_multiexp(bases: &[Self], exps: &[P::Fr]) -> Self {
-        use dlr_math::limbs::{bits_slice, wnaf_digits};
-        let mut pts: Vec<Self> = Vec::with_capacity(bases.len());
-        let mut exp_limbs: Vec<Vec<u64>> = Vec::with_capacity(bases.len());
-        let mut max_bits = 0usize;
-        for (b, e) in bases.iter().zip(exps) {
-            let limbs = e.to_canonical_limbs();
-            let nbits = bits_slice(&limbs) as usize;
-            if nbits == 0 || b.z.is_zero() {
-                continue;
-            }
-            max_bits = max_bits.max(nbits);
-            pts.push(*b);
-            exp_limbs.push(limbs);
-        }
-        if pts.is_empty() {
-            return Self::identity();
-        }
-        let n = pts.len();
-        let (w, wnaf_cost) = wnaf_plan(n, max_bits);
-        let wp = crate::multiexp::best_window(n, max_bits, crate::multiexp::pippenger_cost);
-        if crate::multiexp::pippenger_cost(n, max_bits, wp) * 100 < wnaf_cost {
-            return crate::multiexp::pippenger_raw(bases, exps);
-        }
-
-        let nafs: Vec<Vec<i8>> = exp_limbs.iter().map(|l| wnaf_digits(l, w)).collect();
-        let max_len = nafs.iter().map(Vec::len).max().expect("nonempty batch");
-
-        // Odd multiples 1·B, 3·B, …, (2^{w−1}−1)·B per base, then one
-        // batch normalization so the main loop adds affine entries. Small-
-        // order bases (cofactor components) can collapse an odd multiple
-        // to infinity — those entries are skipped at lookup time.
-        let tsize = 1usize << (w - 2);
-        let mut table: Vec<Self> = Vec::with_capacity(n * tsize);
-        for b in &pts {
-            let twice = b.double_internal();
-            let mut cur = *b;
-            table.push(cur);
-            for _ in 1..tsize {
-                cur = cur.add_internal(&twice);
-                table.push(cur);
-            }
-        }
-        Self::batch_normalize(&mut table);
-
-        let mut acc = Self::identity();
-        for pos in (0..max_len).rev() {
-            acc = acc.double_internal();
-            for (i, naf) in nafs.iter().enumerate() {
-                let Some(&d) = naf.get(pos) else { continue };
-                if d == 0 {
-                    continue;
-                }
-                let entry = &table[i * tsize + (d.unsigned_abs() as usize - 1) / 2];
-                if entry.z.is_zero() {
-                    continue;
-                }
-                acc = if d > 0 {
-                    acc.add_mixed(entry)
-                } else {
-                    acc.add_mixed(&Self::jacobian(entry.x, -entry.y, entry.z))
-                };
-            }
-        }
-        acc
     }
 
     /// Compressed serialization: a tag byte (0 = infinity, 2/3 = sign of
@@ -371,31 +301,6 @@ fn derive_generator<P: SsParams>() -> G<P> {
     G::<P>::hash_to_group(P::GENERATOR_DOMAIN, b"generator")
 }
 
-/// Deterministic wNAF plan for a batch shape `(n, bits)`: the window width
-/// and its modelled cost in scaled units (full Jacobian add = 100). Unlike
-/// the unit-cost models in [`crate::multiexp`], this one weighs the three
-/// curve formulas separately — measured on the supersingular fields the
-/// mixed add (7M + 4S) runs at ~0.7× a full add (11M + 5S) and the double
-/// (1M + 8S) at ~0.6× — because the whole point of the wNAF engine is to
-/// shift work onto the cheaper two.
-fn wnaf_plan(n: usize, bits: usize) -> (usize, usize) {
-    const FULL: usize = 100;
-    const MIXED: usize = 70;
-    const DBL: usize = 60;
-    const NORM: usize = 4; // per-entry share of the batch normalization
-    let mut best = (2usize, usize::MAX);
-    for w in 2..=8usize {
-        let table = 1usize << (w - 2);
-        let cost = n * (DBL + (table - 1) * FULL + table * NORM)
-            + bits * DBL
-            + n * (bits / (w + 1) + 1) * MIXED;
-        if cost < best.1 {
-            best = (w, cost);
-        }
-    }
-    best
-}
-
 impl<P: SsParams> PartialEq for G<P> {
     fn eq(&self, other: &Self) -> bool {
         let self_inf = self.z.is_zero();
@@ -432,6 +337,17 @@ impl<P: SsParams> Group for G<P> {
     type Scalar = P::Fr;
     const NAME: &'static str = "G";
     const KIND: GroupKind = GroupKind::Source;
+    /// In hundredths of a full Jacobian addition (11M + 5S), as measured on
+    /// the supersingular fields: a mixed addition (7M + 4S) against a
+    /// normalized table entry runs at about 0.7 of it and a doubling
+    /// (1M + 8S) at about 0.6, and normalizing costs each entry about 0.04
+    /// (three multiplications and a share of one inversion).
+    const OP_COSTS: OpCosts = OpCosts {
+        table: 100,
+        digit: 70,
+        dbl: 60,
+        norm: 4,
+    };
 
     fn identity() -> Self {
         Self::jacobian(P::Fp::one(), P::Fp::one(), P::Fp::zero())
@@ -462,18 +378,6 @@ impl<P: SsParams> Group for G<P> {
 
     fn raw_double(&self) -> Self {
         self.double_internal()
-    }
-
-    fn product_of_powers(bases: &[Self], exps: &[Self::Scalar]) -> Self {
-        // Same semantic accounting as the trait default (`n` pows —
-        // engine internals are uncounted), different engine: signed
-        // windows and mixed additions only exist on a curve, so the
-        // generic Straus/Pippenger dispatch is overridden here.
-        assert_eq!(bases.len(), exps.len(), "bases/exps length mismatch");
-        for _ in 0..bases.len() {
-            crate::counters::count_g_pow();
-        }
-        Self::wnaf_multiexp(bases, exps)
     }
 
     fn inverse(&self) -> Self {
@@ -557,16 +461,8 @@ impl<P: SsParams> Group for G<P> {
         if !self.is_on_curve() {
             return false;
         }
-        let r_bytes = P::Fr::modulus_be_bytes();
-        let mut limbs: Vec<u64> = Vec::new();
-        let mut le = r_bytes;
-        le.reverse();
-        for ch in le.chunks(8) {
-            let mut b = [0u8; 8];
-            b[..ch.len()].copy_from_slice(ch);
-            limbs.push(u64::from_le_bytes(b));
-        }
-        self.pow_vartime_limbs(&limbs).is_identity()
+        self.pow_vartime_limbs(&field_modulus_limbs::<P::Fr>())
+            .is_identity()
     }
 }
 
@@ -763,12 +659,12 @@ mod tests {
         assert_eq!(report.g_pow, 3); // 1 pow + 2 from the multiexp
     }
 
-    /// The cofactor-clearing ladder against the window engine it replaced,
-    /// `pow_vartime_limbs(COFACTOR)`, on points outside the subgroup.
+    /// The cofactor-clearing ladder against the binary double-and-add
+    /// reference ([`crate::multiexp::naive_limbs`]), on points outside the
+    /// subgroup.
     mod ladder {
         use super::*;
         use crate::params::{Ss1024, Ss768};
-        use crate::util::field_modulus_limbs;
         use proptest::prelude::*;
 
         /// A uniformly random curve point, almost never in the subgroup.
@@ -781,41 +677,40 @@ mod tests {
             }
         }
 
-        fn window<P: SsParams>(x: P::Fp, y: P::Fp, k: &[u64]) -> G<P> {
-            G::<P>::from_affine(x, y)
-                .expect("on the curve")
-                .pow_vartime_limbs(k)
+        fn naive<P: SsParams>(x: P::Fp, y: P::Fp, k: &[u64]) -> G<P> {
+            let p = G::<P>::from_affine(x, y).expect("on the curve");
+            crate::multiexp::naive_limbs(&[p], &[k])
         }
 
         /// `n` random points, each with both signs of `y`.
-        fn clears_like_the_window_engine<P: SsParams>(n: usize, seed: u64) {
+        fn clears_like_the_binary_chain<P: SsParams>(n: usize, seed: u64) {
             let mut r = rand::rngs::StdRng::seed_from_u64(seed);
             for _ in 0..n {
                 let (x, y) = raw_point::<P>(&mut r);
                 for y in [y, -y] {
                     let cleared = G::<P>::ladder_mul(x, y, P::COFACTOR);
-                    assert_eq!(cleared, window(x, y, P::COFACTOR), "{}", P::NAME);
+                    assert_eq!(cleared, naive(x, y, P::COFACTOR), "{}", P::NAME);
                     assert!(cleared.is_on_curve());
                 }
             }
         }
 
         #[test]
-        fn toy_cofactor_matches_window_engine() {
-            clears_like_the_window_engine::<Toy>(500, 11);
+        fn toy_cofactor_matches_binary_chain() {
+            clears_like_the_binary_chain::<Toy>(500, 11);
         }
 
         #[test]
-        fn ss_cofactors_match_window_engine() {
-            clears_like_the_window_engine::<Ss512>(3, 12);
-            clears_like_the_window_engine::<Ss768>(2, 13);
-            clears_like_the_window_engine::<Ss1024>(2, 14);
+        fn ss_cofactors_match_binary_chain() {
+            clears_like_the_binary_chain::<Ss512>(3, 12);
+            clears_like_the_binary_chain::<Ss768>(2, 13);
+            clears_like_the_binary_chain::<Ss1024>(2, 14);
         }
 
         #[test]
         fn two_torsion_point_clears_to_identity() {
             let zero = <Toy as SsParams>::Fp::zero();
-            assert_eq!(window::<Toy>(zero, zero, Toy::COFACTOR), GT::identity());
+            assert_eq!(naive::<Toy>(zero, zero, Toy::COFACTOR), GT::identity());
             assert_eq!(GT::ladder_mul(zero, zero, Toy::COFACTOR), GT::identity());
             assert_eq!(GT::ladder_mul(zero, zero, &[2]), GT::identity());
         }
@@ -829,12 +724,12 @@ mod tests {
             let mut seen = 0;
             while seen < 8 {
                 let (x, y) = raw_point::<Toy>(&mut r);
-                let Some((tx, ty)) = window::<Toy>(x, y, &r_limbs).to_affine() else {
+                let Some((tx, ty)) = naive::<Toy>(x, y, &r_limbs).to_affine() else {
                     continue;
                 };
                 seen += 1;
                 assert_eq!(GT::ladder_mul(tx, ty, Toy::COFACTOR), GT::identity());
-                assert_eq!(window::<Toy>(tx, ty, Toy::COFACTOR), GT::identity());
+                assert_eq!(naive::<Toy>(tx, ty, Toy::COFACTOR), GT::identity());
             }
         }
 
@@ -851,7 +746,7 @@ mod tests {
             for k in [0u64, 1, 2, 3, 4, 5] {
                 assert_eq!(
                     GT::ladder_mul(x, y, &[k]),
-                    window::<Toy>(x, y, &[k]),
+                    naive::<Toy>(x, y, &[k]),
                     "k={k}"
                 );
             }
@@ -860,13 +755,13 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// Any point, any two-limb scalar: the ladder and the window
-            /// engine agree.
+            /// Any point, any two-limb scalar: the ladder and the binary
+            /// chain agree.
             #[test]
-            fn ladder_equals_window_engine(seed in any::<u64>(), k0 in any::<u64>(), k1 in any::<u64>()) {
+            fn ladder_equals_binary_chain(seed in any::<u64>(), k0 in any::<u64>(), k1 in any::<u64>()) {
                 let (x, y) = raw_point::<Toy>(&mut rand::rngs::StdRng::seed_from_u64(seed));
                 for k in [&[k0][..], &[k0, k1][..], Toy::COFACTOR] {
-                    prop_assert_eq!(GT::ladder_mul(x, y, k), window::<Toy>(x, y, k));
+                    prop_assert_eq!(GT::ladder_mul(x, y, k), naive::<Toy>(x, y, k));
                 }
             }
         }

@@ -6,12 +6,11 @@
 //! practical.
 
 use crate::fixedbase::FixedBase;
-use crate::multiexp;
+use crate::multiexp::OpCosts;
 use crate::params::SsParams;
 use crate::traits::{Group, GroupKind};
 use crate::util::field_modulus_limbs;
 use core::marker::PhantomData;
-use dlr_math::limbs::bits_slice;
 use dlr_math::{FieldElement, Fp2};
 use rand::RngCore;
 
@@ -43,47 +42,20 @@ impl<P: SsParams> Gt<P> {
     }
 }
 
-/// The engine and window width of [`Gt`]'s multi-exponentiation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Plan {
-    /// Signed-window Straus at this wNAF width.
-    Signed(usize),
-    /// Pippenger bucket windows at this width.
-    Pippenger(usize),
-}
-
-/// Deterministic plan for `n` nonzero exponents of `bits` significant
-/// bits, from a cost model in scaled `F_{p²}` operations: a multiplication
-/// (three `F_p` products) costs 100, a unitary squaring (two `F_p`
-/// squarings) 67. The signed engine spends, per base, one squaring and
-/// `2^{w−2} − 1` multiplications on the odd-power table and one
-/// multiplication per nonzero digit (about `bits/(w+1) + 1`), plus one
-/// shared squaring per bit. Pippenger's unit-cost model
-/// ([`multiexp::pippenger_cost`]) is scaled to multiplications; the
-/// cheaper engine at its own best width wins.
-fn plan(n: usize, bits: usize) -> Plan {
-    const MUL: usize = 100;
-    const SQR: usize = 67;
-    let (w, signed) = (2..=8usize)
-        .map(|w| {
-            let table = 1usize << (w - 2);
-            let cost = n * (SQR + (table - 1) * MUL) + bits * SQR + n * (bits / (w + 1) + 1) * MUL;
-            (w, cost)
-        })
-        .min_by_key(|&(_, cost)| cost)
-        .expect("nonempty width range");
-    let wp = multiexp::best_window(n, bits, multiexp::pippenger_cost);
-    if multiexp::pippenger_cost(n, bits, wp) * MUL < signed {
-        Plan::Pippenger(wp)
-    } else {
-        Plan::Signed(w)
-    }
-}
-
 impl<P: SsParams> Group for Gt<P> {
     type Scalar = P::Fr;
     const NAME: &'static str = "GT";
     const KIND: GroupKind = GroupKind::Target;
+    /// In hundredths of an `F_{p²}` multiplication (three `F_p` products):
+    /// every element is unitary, so a squaring is
+    /// [`Fp2::unitary_square`] (two `F_p` squarings, about 0.67 of it), an
+    /// inverse is a conjugation, and there is nothing to normalize.
+    const OP_COSTS: OpCosts = OpCosts {
+        table: 100,
+        digit: 100,
+        dbl: 67,
+        norm: 0,
+    };
 
     fn identity() -> Self {
         Self {
@@ -124,30 +96,6 @@ impl<P: SsParams> Group for Gt<P> {
 
     fn raw_double(&self) -> Self {
         Self::from_unitary(self.value.unitary_square())
-    }
-
-    /// `P2`'s whole decrypt reply runs here. Same accounting as the trait
-    /// default (`n` pows, engine internals uncounted), different engine:
-    /// every element is unitary, so an inverse is a conjugation and a
-    /// squaring is [`Fp2::unitary_square`], and the signed-window Straus
-    /// engine ([`multiexp::signed_straus_with_window`]) spends both. A
-    /// deterministic cost model in the batch shape picks it or, for
-    /// batches wide enough that per-base tables stop paying, the
-    /// table-free Pippenger engine.
-    fn product_of_powers(bases: &[Self], exps: &[Self::Scalar]) -> Self {
-        assert_eq!(bases.len(), exps.len(), "bases/exps length mismatch");
-        for _ in 0..bases.len() {
-            crate::counters::count_gt_pow();
-        }
-        let (exp_limbs, max_bits) = multiexp::recode::<Self>(exps);
-        let Some(max_bits) = max_bits else {
-            return Self::identity();
-        };
-        let n = exp_limbs.iter().filter(|l| bits_slice(l) > 0).count();
-        match plan(n, max_bits) {
-            Plan::Signed(w) => multiexp::signed_straus_with_window(bases, &exp_limbs, w),
-            Plan::Pippenger(w) => multiexp::pippenger_with_window(bases, &exp_limbs, max_bits, w),
-        }
     }
 
     fn inverse(&self) -> Self {
@@ -309,45 +257,6 @@ mod tests {
             })
             .collect();
         (bases, exps)
-    }
-
-    fn engine_matches_naive<P: SsParams>(seed: u64) {
-        let mut r = rand::rngs::StdRng::seed_from_u64(seed);
-        let bits = <P::Fr as PrimeField>::modulus_bits() as usize;
-        let pippenger_n = (64..100_000)
-            .find(|&n| matches!(plan(n, bits), Plan::Pippenger(_)))
-            .expect("some width takes the Pippenger route");
-        for n in [1usize, 2, 3, 14, 17, 64, pippenger_n] {
-            let pippenger = matches!(plan(n, bits), Plan::Pippenger(_));
-            assert_eq!(pippenger, n == pippenger_n, "route n={n}");
-            let (bases, mut exps) = mixed_batch::<P>(&mut r, n);
-            assert_eq!(
-                Gt::product_of_powers(&bases, &exps),
-                multiexp::naive(&bases, &exps),
-                "{} n={n}",
-                P::NAME
-            );
-            // Dense random exponents on the same bases.
-            for e in exps.iter_mut() {
-                *e = P::Fr::random(&mut r);
-            }
-            assert_eq!(
-                Gt::product_of_powers(&bases, &exps),
-                multiexp::naive(&bases, &exps),
-                "{} dense n={n}",
-                P::NAME
-            );
-        }
-    }
-
-    #[test]
-    fn signed_engine_matches_naive_on_toy() {
-        engine_matches_naive::<Toy>(11);
-    }
-
-    #[test]
-    fn signed_engine_matches_naive_on_ss512() {
-        engine_matches_naive::<crate::params::Ss512>(12);
     }
 
     #[test]

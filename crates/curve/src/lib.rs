@@ -23,11 +23,9 @@
 //!   final exponentiation);
 //! * [`prepared`] — [`PreparedPoint`]: cache the Miller line coefficients
 //!   of a fixed first argument and replay them per second argument;
-//! * [`multiexp`] — size-adaptive multi-exponentiation (Pippenger bucket
-//!   windows, Straus interleaving below the crossover);
-//! * [`batch`] — [`BatchDecryptCtx`]: per-key shared exponent recoding and
-//!   engine dispatch for cross-request batched decryption, op-count
-//!   identical to the sequential path;
+//! * [`multiexp`] — the one exponentiation engine behind every `pow` and
+//!   `product_of_powers`: signed-window Straus, Pippenger bucket windows
+//!   past the planner's crossover;
 //! * [`modgroup`] — tiny-order groups for exhaustive entropy experiments;
 //! * [`counters`] — thread-local operation counts backing the efficiency
 //!   experiments.
@@ -47,7 +45,6 @@
 //! assert_eq!(lhs, Toy::pair_generators().pow(&a));
 //! ```
 
-pub mod batch;
 pub mod counters;
 pub mod curve;
 pub mod fixedbase;
@@ -60,7 +57,6 @@ pub mod prepared;
 pub mod traits;
 mod util;
 
-pub use batch::BatchDecryptCtx;
 pub use curve::G;
 pub use fixedbase::{FixedBase, LazyFixedBase};
 pub use gt::Gt;

@@ -1,59 +1,99 @@
-//! Multi-exponentiation: size-adaptive Pippenger bucket windows with a
-//! shared-doubling Straus fallback for small batches.
+//! The exponentiation engine: interleaved signed-window (wNAF) Straus,
+//! handing wide batches to Pippenger bucket windows.
 //!
 //! The heart of the paper's protocols is `∏ aᵢ^{sᵢ}` over `ℓ ≈ 3κ` bases
 //! (Πss decryption, HPSKE products, the `P2` computation in both the
-//! decryption and refresh protocols). Two engines cover the size spectrum:
+//! decryption and refresh protocols). Every group runs it through
+//! [`product`]: the default [`Group::product_of_powers`] recodes its
+//! scalars and calls it, and [`Group::pow_vartime_limbs`] is its `n = 1`
+//! case. No group overrides either. Two engines cover the size spectrum:
 //!
-//! * **Straus interleaving** ([`straus_raw`]) shares the ~`log r` doublings
-//!   across all bases, turning `ℓ` full exponentiations into one doubling
-//!   chain plus `ℓ·log r / w` table additions. Its per-base table build
-//!   (`2^w − 1` group ops each) makes it the small-`ℓ` winner.
-//! * **Pippenger bucket windows** ([`pippenger_raw`]) spend no per-base
-//!   setup at all: each window of exponent bits scatters the bases into
-//!   `2^w − 1` buckets and collapses them with the running-sum trick, so
-//!   the asymptotic cost is `bits/w · (ℓ + 2^{w+1})` — the wide-`ℓ` winner
+//! * **Signed-window Straus** ([`signed_straus`]) shares the
+//!   ~`log r` doublings across all bases. Each exponent is recoded into
+//!   odd digits `|d| < 2^{w−1}`, so a base needs only its odd powers
+//!   (`2^{w−2}` table entries), a negative digit uses the entry's inverse,
+//!   and about one bit in `w + 1` costs a table operation. It is the
+//!   narrow-batch winner.
+//! * **Pippenger bucket windows** ([`pippenger_with_window`]) spend no
+//!   per-base setup at all: each window of exponent bits scatters the
+//!   bases into `2^w − 1` buckets and collapses them with the running-sum
+//!   trick, so the cost is `bits/w · (ℓ + 2^{w+1})`, the wide-`ℓ` winner
 //!   (heavy-leakage parameter sets push `ℓ = 3κ` into the thousands).
 //!
-//! [`multiexp`] picks the cheaper engine per call from a deterministic
-//! group-operation cost model; the default [`Group::product_of_powers`]
-//! routes through it. Both engines skip zero scalars, start the doubling
-//! chain at the highest set bit, and choose their window width from the
-//! batch shape rather than a hardcoded constant. The `bench_a2_multiexp`
-//! ablation quantifies the crossover (EXPERIMENTS.md table A8).
+//! [`plan`] picks the engine and its window width from a deterministic
+//! cost model in the batch shape, weighted by the group's relative
+//! operation costs ([`Group::OP_COSTS`]), so repeated runs of a protocol
+//! make identical choices. The signed engine calls
+//! [`Group::batch_normalize`] on its table once; the curve group uses that
+//! hook to put every entry at `Z = 1`, where its addition takes the
+//! cheaper mixed formula. Zero exponents are skipped, and the shared
+//! doubling chain starts at the highest set bit.
+//! Exponent limbs may be any length, including values at or above the
+//! group order (subgroup checks exponentiate by `r` itself), and bases
+//! need not lie in the prime-order subgroup: the recodings are exact
+//! integers, not residues.
 //!
-//! Groups with a free inverse override that default with a signed-window
-//! engine: the curve group with its own mixed-addition wNAF, the target
-//! group with the generic [`signed_straus_with_window`] (inverse =
-//! conjugation). Both still hand wide batches to Pippenger when its cost
-//! model wins.
+//! [`naive`] is the independent reference every engine is tested
+//! against: a plain binary double-and-add per base.
 
 use crate::traits::Group;
 use dlr_math::limbs::{bits_slice, window, wnaf_digits};
 use dlr_math::PrimeField;
 
-/// Widest window either engine will use (bounds bucket/table memory).
+/// Widest Pippenger window (bounds bucket memory).
 const MAX_WINDOW: usize = 13;
 
-/// Naive multi-exponentiation (one full `pow` per base). Used as the
-/// correctness reference and as the ablation baseline.
-pub fn naive<G: Group>(bases: &[G], exps: &[G::Scalar]) -> G {
-    assert_eq!(bases.len(), exps.len(), "bases/exps length mismatch");
-    let mut acc = G::identity();
-    for (b, e) in bases.iter().zip(exps.iter()) {
-        acc = acc.raw_op(&b.pow_vartime_limbs(&e.to_canonical_limbs()));
-    }
-    acc
+/// A group's relative operation costs, in any unit common to the four
+/// weights, as the planner sees them. The defaults are unit costs; the
+/// pairing groups state what their formulas cost.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OpCosts {
+    /// A general group operation (table build, Pippenger's every step).
+    pub table: usize,
+    /// The main loop's operation with a (normalized) table entry.
+    pub digit: usize,
+    /// A doubling (squaring).
+    pub dbl: usize,
+    /// Each table entry's share of [`Group::batch_normalize`].
+    pub norm: usize,
 }
 
-/// Straus table-build + interleave cost in group operations, for `n`
-/// nonzero bases of `bits` significant exponent bits at window `w`.
-pub fn straus_cost(n: usize, bits: usize, w: usize) -> usize {
-    let windows = bits.div_ceil(w);
-    // Per-base table: 2^w − 1 ops. Doubling chain: w per window. Table
-    // additions: one per base per window, minus the expected 2^−w zero
-    // digits (scaled integer math to stay deterministic).
-    n * ((1 << w) - 1) + windows * w + ((windows * n * ((1 << w) - 1)) >> w)
+impl OpCosts {
+    /// Every operation costs the same and normalization is free.
+    pub const UNIT: Self = Self {
+        table: 1,
+        digit: 1,
+        dbl: 1,
+        norm: 0,
+    };
+}
+
+/// The engine and window width [`plan`] chose for a batch shape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Plan {
+    /// Signed-window Straus at this wNAF width.
+    Signed(usize),
+    /// Pippenger bucket windows at this width.
+    Pippenger(usize),
+}
+
+/// Modelled cost of the signed engine on `n` nonzero exponents of `bits`
+/// significant bits at width `w`: per base one doubling, `2^{w−2} − 1`
+/// table operations and the normalization of `2^{w−2}` entries; one
+/// shared doubling per bit; one digit operation per nonzero digit (about
+/// `bits/(w+1) + 1` per base).
+fn signed_cost(n: usize, bits: usize, w: usize, costs: OpCosts) -> usize {
+    let table = 1usize << (w - 2);
+    n * (costs.dbl + (table - 1) * costs.table + table * costs.norm)
+        + bits * costs.dbl
+        + n * (bits / (w + 1) + 1) * costs.digit
+}
+
+/// The signed engine's cheapest width in `2..=8` (the first on ties).
+pub fn signed_window(n: usize, bits: usize, costs: OpCosts) -> usize {
+    (2..=8usize)
+        .min_by_key(|&w| signed_cost(n, bits, w, costs))
+        .expect("nonempty width range")
 }
 
 /// Pippenger cost in group operations: per window, one bucket add per
@@ -75,114 +115,69 @@ pub fn best_window(n: usize, bits: usize, cost: fn(usize, usize, usize) -> usize
     best.0
 }
 
-/// Canonical limbs of every exponent plus the highest set bit across the
-/// batch (`None` when every exponent is zero).
-fn canonical_exponents<G: Group>(exps: &[G::Scalar]) -> (Vec<Vec<u64>>, Option<usize>) {
-    let limbs: Vec<Vec<u64>> = exps.iter().map(|e| e.to_canonical_limbs()).collect();
-    let max_bits = limbs
-        .iter()
-        .map(|l| bits_slice(l) as usize)
-        .max()
-        .filter(|b| *b > 0);
-    (limbs, max_bits)
+/// The engine and width for `n` nonzero exponents of `bits` significant
+/// bits: Pippenger at its best width when its unit-cost model, scaled to
+/// `costs.table`, is strictly cheaper than the signed engine at its best
+/// width; the signed engine otherwise.
+pub fn plan(n: usize, bits: usize, costs: OpCosts) -> Plan {
+    let w = signed_window(n, bits, costs);
+    let wp = best_window(n, bits, pippenger_cost);
+    if pippenger_cost(n, bits, wp) * costs.table < signed_cost(n, bits, w, costs) {
+        Plan::Pippenger(wp)
+    } else {
+        Plan::Signed(w)
+    }
 }
 
-/// Straus interleaved multi-exponentiation with an adaptive window width,
-/// uninstrumented (callers go through [`Group::product_of_powers`]).
+/// `∏ basesᵢ^{expsᵢ}` for exponents given as little-endian limb slices of
+/// any length, uninstrumented: the one engine behind
+/// [`Group::product_of_powers`] and [`Group::pow_vartime_limbs`]. Plans
+/// on the number of nonzero exponents and their highest bit, then runs
+/// the engine [`plan`] picks; both engines skip zero exponents.
 ///
-/// Sparse-exponent aware: bases whose scalar is zero get no table (their
-/// factor is the identity), zero digits skip the table addition, and the
-/// shared doubling chain starts at the highest set bit across all
-/// exponents rather than the full modulus width — `∏ aᵢ^{sᵢ}` with small
-/// or mostly-zero `sᵢ` costs proportionally less. The window width is the
-/// cost-model argmin for the batch shape `(n, bits)` instead of the former
-/// hardcoded 4 bits, so single-base and few-bit calls stop overpaying for
-/// table space.
-pub fn straus_raw<G: Group>(bases: &[G], exps: &[G::Scalar]) -> G {
+/// # Panics
+///
+/// Panics if `bases` and `exps` have different lengths.
+pub fn product<G: Group, E: AsRef<[u64]>>(bases: &[G], exps: &[E]) -> G {
     assert_eq!(bases.len(), exps.len(), "bases/exps length mismatch");
-    if bases.is_empty() {
-        return G::identity();
-    }
-    let (exp_limbs, max_bits) = canonical_exponents::<G>(exps);
-    let Some(max_bits) = max_bits else {
-        return G::identity();
-    };
-    let nonzero = exp_limbs.iter().filter(|l| bits_slice(l) > 0).count();
-    let w = best_window(nonzero, max_bits, straus_cost);
-    straus_with_window(bases, &exp_limbs, max_bits, w)
-}
-
-/// Straus engine at an explicit window width (exposed to the benches for
-/// window ablations; protocol code uses [`straus_raw`] / [`multiexp`]).
-pub fn straus_with_window<G: Group>(
-    bases: &[G],
-    exp_limbs: &[Vec<u64>],
-    max_bits: usize,
-    w: usize,
-) -> G {
-    // Per-base tables: table[i][d] = bases[i]^d, d ∈ [0, 2^w);
-    // zero-scalar bases contribute nothing and get no table.
-    let table_size = 1usize << w;
-    let tables: Vec<Option<Vec<G>>> = bases
+    let (n, bits) = exps
         .iter()
-        .zip(exp_limbs)
-        .map(|(b, limbs)| {
-            if limbs.iter().all(|l| *l == 0) {
-                return None;
-            }
-            let mut t = Vec::with_capacity(table_size);
-            t.push(G::identity());
-            for d in 1..table_size {
-                t.push(t[d - 1].raw_op(b));
-            }
-            Some(t)
-        })
-        .collect();
-
-    let windows = max_bits.div_ceil(w);
-
-    let mut acc = G::identity();
-    for win in (0..windows).rev() {
-        for _ in 0..w {
-            acc = acc.raw_double();
-        }
-        let bit_pos = win * w;
-        for (limbs, table) in exp_limbs.iter().zip(&tables) {
-            let Some(table) = table else { continue };
-            let d = window(limbs, bit_pos, w);
-            if d != 0 {
-                acc = acc.raw_op(&table[d]);
-            }
-        }
+        .map(|e| bits_slice(e.as_ref()) as usize)
+        .filter(|&b| b > 0)
+        .fold((0, 0), |(n, max), b| (n + 1, max.max(b)));
+    if n == 0 {
+        return G::identity();
     }
-    acc
+    match plan(n, bits, G::OP_COSTS) {
+        Plan::Signed(w) => signed_straus(bases, exps, w),
+        Plan::Pippenger(w) => pippenger_with_window(bases, exps, bits, w),
+    }
 }
 
 /// Interleaved signed-window (wNAF) Straus at an explicit window width,
-/// uninstrumented, for groups whose [`Group::inverse`] is (nearly) free —
-/// the target group, where it is a conjugation.
+/// uninstrumented.
 ///
 /// Each exponent is recoded by [`wnaf_digits`]: odd digits
 /// `|d| < 2^{w−1}`, at most one nonzero per `w + 1` bits on average. So a
 /// base needs a table of its odd powers `b, b³, …, b^{2^{w−1}−1}` only
-/// (`2^{w−2}` entries, half the unsigned table), and a negative digit
-/// multiplies by the inverse of the entry. One shared squaring chain runs
-/// over the longest recoding. Zero exponents get no table and no digits.
-/// Correct for any exponent limbs, including values at or above the group
-/// order and bases outside the prime-order subgroup: the recoding is the
-/// exact integer, not a residue.
+/// (`2^{w−2}` entries, half the unsigned table). The whole table goes
+/// through [`Group::batch_normalize`] once, then gets its
+/// [`Group::inverse`]s once, for the negative digits. One shared doubling
+/// chain runs over the longest recoding. Zero exponents get no table and
+/// no digits.
 ///
 /// # Panics
 ///
-/// Panics if `w` is outside `2..=8` (the recoder's digit range).
-pub fn signed_straus_with_window<G: Group>(bases: &[G], exp_limbs: &[Vec<u64>], w: usize) -> G {
-    assert_eq!(bases.len(), exp_limbs.len(), "bases/exps length mismatch");
+/// Panics if the lengths differ or `w` is outside `2..=8` (the recoder's
+/// digit range).
+pub fn signed_straus<G: Group, E: AsRef<[u64]>>(bases: &[G], exps: &[E], w: usize) -> G {
+    assert_eq!(bases.len(), exps.len(), "bases/exps length mismatch");
     assert!((2..=8).contains(&w), "wnaf width out of range");
     let tsize = 1usize << (w - 2);
     let mut nafs: Vec<Vec<i8>> = Vec::with_capacity(bases.len());
     let mut table: Vec<G> = Vec::with_capacity(bases.len() * tsize);
-    for (b, limbs) in bases.iter().zip(exp_limbs) {
-        let naf = wnaf_digits(limbs, w);
+    for (b, e) in bases.iter().zip(exps) {
+        let naf = wnaf_digits(e.as_ref(), w);
         if naf.is_empty() {
             continue;
         }
@@ -194,6 +189,8 @@ pub fn signed_straus_with_window<G: Group>(bases: &[G], exp_limbs: &[Vec<u64>], 
             table.push(next);
         }
     }
+    G::batch_normalize(&mut table);
+    let negated: Vec<G> = table.iter().map(G::inverse).collect();
     let max_len = nafs.iter().map(Vec::len).max().unwrap_or(0);
 
     let mut acc = G::identity();
@@ -204,51 +201,33 @@ pub fn signed_straus_with_window<G: Group>(bases: &[G], exp_limbs: &[Vec<u64>], 
             if d == 0 {
                 continue;
             }
-            let entry = &table[i * tsize + (d.unsigned_abs() as usize >> 1)];
-            acc = if d > 0 {
-                acc.raw_op(entry)
-            } else {
-                acc.raw_op(&entry.inverse())
-            };
+            let k = i * tsize + (d.unsigned_abs() as usize >> 1);
+            acc = acc.raw_op(if d > 0 { &table[k] } else { &negated[k] });
         }
     }
     acc
 }
 
-/// Pippenger bucket-window multi-exponentiation, uninstrumented.
+/// Pippenger engine over exponent limbs at an explicit window width.
 ///
 /// For each window of exponent bits (most significant first) every base
 /// with a nonzero digit `d` is added into bucket `d`; the buckets collapse
 /// with the running-sum trick (`Σ d·B_d` via two adds per nonempty bucket,
 /// high to low), and the accumulator shifts by `w` doublings between
 /// windows. No per-base precomputation, so cost grows as
-/// `bits/w · (n + 2^{w+1})` — past a few hundred bases this beats Straus'
-/// table builds decisively. Zero scalars are skipped up front and the
-/// doubling chain starts at the batch's highest set bit.
-pub fn pippenger_raw<G: Group>(bases: &[G], exps: &[G::Scalar]) -> G {
-    assert_eq!(bases.len(), exps.len(), "bases/exps length mismatch");
-    let (exp_limbs, max_bits) = canonical_exponents::<G>(exps);
-    let Some(max_bits) = max_bits else {
-        return G::identity();
-    };
-    let nonzero = exp_limbs.iter().filter(|l| bits_slice(l) > 0).count();
-    let w = best_window(nonzero, max_bits, pippenger_cost);
-    pippenger_with_window(bases, &exp_limbs, max_bits, w)
-}
-
-/// Pippenger engine over pre-recoded exponent limbs at an explicit window
-/// width. [`pippenger_raw`] recodes then delegates here;
-/// [`crate::batch::BatchDecryptCtx`] calls it directly so a whole flush of
-/// requests shares one recoding of the fixed share vector.
-pub fn pippenger_with_window<G: Group>(
+/// `bits/w · (n + 2^{w+1})`. Zero exponents are skipped up front and the
+/// doubling chain starts at `max_bits`, which must cover every exponent.
+pub fn pippenger_with_window<G: Group, E: AsRef<[u64]>>(
     bases: &[G],
-    exp_limbs: &[Vec<u64>],
+    exps: &[E],
     max_bits: usize,
     w: usize,
 ) -> G {
-    let pairs: Vec<(&G, &Vec<u64>)> = bases
+    assert_eq!(bases.len(), exps.len(), "bases/exps length mismatch");
+    let pairs: Vec<(&G, &[u64])> = bases
         .iter()
-        .zip(exp_limbs)
+        .zip(exps)
+        .map(|(b, e)| (b, e.as_ref()))
         .filter(|(_, l)| bits_slice(l) > 0)
         .collect();
     let windows = max_bits.div_ceil(w);
@@ -297,187 +276,102 @@ pub fn pippenger_with_window<G: Group>(
     acc
 }
 
-/// Size-adaptive dispatch: evaluate both engines' cost models at their own
-/// best window for this batch shape and run the cheaper one. Deterministic
-/// in `(n, bits)`, so repeated runs of a protocol make identical choices.
-pub fn multiexp<G: Group>(bases: &[G], exps: &[G::Scalar]) -> G {
-    assert_eq!(bases.len(), exps.len(), "bases/exps length mismatch");
-    if bases.is_empty() {
-        return G::identity();
-    }
-    let (exp_limbs, max_bits) = canonical_exponents::<G>(exps);
-    let Some(max_bits) = max_bits else {
-        return G::identity();
-    };
-    let nonzero = exp_limbs.iter().filter(|l| bits_slice(l) > 0).count();
-    let ws = best_window(nonzero, max_bits, straus_cost);
-    let wp = best_window(nonzero, max_bits, pippenger_cost);
-    if pippenger_cost(nonzero, max_bits, wp) < straus_cost(nonzero, max_bits, ws) {
-        pippenger_with_window(bases, &exp_limbs, max_bits, wp)
-    } else {
-        straus_with_window(bases, &exp_limbs, max_bits, ws)
-    }
+/// Reference multi-exponentiation over scalars: [`naive_limbs`] on their
+/// canonical limbs. The correctness reference and the ablation baseline.
+pub fn naive<G: Group>(bases: &[G], exps: &[G::Scalar]) -> G {
+    let limbs: Vec<Vec<u64>> = exps.iter().map(|e| e.to_canonical_limbs()).collect();
+    naive_limbs(bases, &limbs)
 }
 
-/// Recoded batch shape shared by [`multiexp`] and
-/// [`crate::batch::BatchDecryptCtx`]: canonical limbs plus the highest set
-/// bit (`None` when every exponent is zero). Public within the crate so the
-/// batch context reuses the exact recoding the dispatcher would produce.
-pub(crate) fn recode<G: Group>(exps: &[G::Scalar]) -> (Vec<Vec<u64>>, Option<usize>) {
-    canonical_exponents::<G>(exps)
+/// Reference multi-exponentiation over limb slices of any length: one
+/// plain left-to-right binary double-and-add per base, over
+/// [`Group::raw_double`] and [`Group::raw_op`] only, so it shares no code
+/// with the engines it checks.
+///
+/// # Panics
+///
+/// Panics if `bases` and `exps` have different lengths.
+pub fn naive_limbs<G: Group, E: AsRef<[u64]>>(bases: &[G], exps: &[E]) -> G {
+    assert_eq!(bases.len(), exps.len(), "bases/exps length mismatch");
+    let mut acc = G::identity();
+    for (b, e) in bases.iter().zip(exps) {
+        let e = e.as_ref();
+        let mut pow = G::identity();
+        for i in (0..bits_slice(e) as usize).rev() {
+            pow = pow.raw_double();
+            if (e[i / 64] >> (i % 64)) & 1 == 1 {
+                pow = pow.raw_op(b);
+            }
+        }
+        acc = acc.raw_op(&pow);
+    }
+    acc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::{Ss512, SsParams, Toy};
+    use crate::{Gt, G};
 
-    // Cross-checks of straus vs naive on dense random exponents live in
-    // `modgroup::tests` and `curve::tests`; the sparse/degenerate shapes
-    // the zero-skipping paths introduce are covered here, plus the
-    // pippenger/straus/naive differential grid.
-
-    use crate::modgroup::{Mini1009, ModGroup};
-    use dlr_math::FieldElement;
-    use rand::SeedableRng;
-
-    type MG = ModGroup<Mini1009>;
-    type S = <MG as Group>::Scalar;
-
-    fn rng() -> rand::rngs::StdRng {
-        rand::rngs::StdRng::seed_from_u64(17)
-    }
-
+    /// The planner returns the engine and width that the curve's and the
+    /// target group's own planners chose before the engines were merged
+    /// (values recorded from those planners), for the shapes the protocol
+    /// runs (TOY: κ = 3, ℓ = 17 and SS512: κ = 2, ℓ = 14 from
+    /// `SchemeParams::derive(16, 64)`; G runs κ, ℓ and 2ℓ bases, GT ℓ),
+    /// single bases at 64 and 256 bits, and the first Pippenger width.
     #[test]
-    fn straus_matches_naive_on_sparse_exponents() {
-        let mut r = rng();
-        let bases: Vec<MG> = (0..6).map(|_| MG::random(&mut r)).collect();
-        // Exponent vectors mixing zeros, tiny values and full-width values.
-        let shapes: Vec<Vec<S>> = vec![
-            vec![S::zero(); 6],
-            {
-                let mut e = vec![S::zero(); 6];
-                e[3] = S::one();
-                e
-            },
-            {
-                let mut e = vec![S::zero(); 6];
-                e[0] = S::from_u64(2);
-                e[5] = S::from_u64(15);
-                e
-            },
-            (0..6)
-                .map(|i| if i % 2 == 0 { S::zero() } else { S::random(&mut r) })
-                .collect(),
-            vec![S::from_u64(1), S::zero(), S::from_u64(16), S::zero(), S::from_u64(17), S::zero()],
+    fn planner_matches_the_replaced_per_group_planners() {
+        let (g, gt) = (G::<Toy>::OP_COSTS, Gt::<Toy>::OP_COSTS);
+        assert_eq!(G::<Ss512>::OP_COSTS, g);
+        assert_eq!(Gt::<Ss512>::OP_COSTS, gt);
+        let toy = <Toy as SsParams>::Fr::modulus_bits() as usize;
+        let ss = <Ss512 as SsParams>::Fr::modulus_bits() as usize;
+        assert_eq!((toy, ss), (63, 256));
+        use Plan::{Pippenger, Signed};
+        let pinned = [
+            // (costs, bits, n, plan)
+            (g, toy, 3, Signed(4)),
+            (g, toy, 17, Signed(4)),
+            (g, toy, 34, Signed(4)),
+            (g, 64, 1, Signed(4)),
+            (g, toy, 599, Pippenger(7)),
+            (g, 62, 599, Pippenger(7)),
+            (g, 64, 761, Pippenger(6)),
+            (g, ss, 2, Signed(5)),
+            (g, ss, 14, Signed(5)),
+            (g, ss, 28, Signed(5)),
+            (g, ss, 1, Signed(5)),
+            (g, ss, 2728, Pippenger(8)),
+            (g, 255, 2729, Pippenger(8)),
+            (gt, toy, 17, Signed(4)),
+            (gt, 64, 1, Signed(4)),
+            (gt, toy, 226, Pippenger(5)),
+            (gt, 62, 227, Pippenger(5)),
+            (gt, ss, 14, Signed(5)),
+            (gt, ss, 1, Signed(5)),
+            (gt, ss, 694, Pippenger(7)),
+            (gt, 255, 694, Pippenger(7)),
         ];
-        for exps in shapes {
-            assert_eq!(straus_raw(&bases, &exps), naive(&bases, &exps));
-            assert_eq!(pippenger_raw(&bases, &exps), naive(&bases, &exps));
-            assert_eq!(multiexp(&bases, &exps), naive(&bases, &exps));
+        for (costs, bits, n, want) in pinned {
+            assert_eq!(plan(n, bits, costs), want, "{costs:?} bits={bits} n={n}");
+            // ... and the batch just below each first Pippenger width stays signed.
+            if matches!(want, Pippenger(_)) {
+                assert!(
+                    matches!(plan(n - 1, bits, costs), Signed(_)),
+                    "bits={bits} n={}",
+                    n - 1
+                );
+            }
         }
     }
 
     #[test]
-    fn straus_all_zero_is_identity() {
-        let mut r = rng();
-        let bases: Vec<MG> = (0..4).map(|_| MG::random(&mut r)).collect();
-        let exps = vec![S::zero(); 4];
-        assert!(straus_raw(&bases, &exps).is_identity());
-        assert!(pippenger_raw(&bases, &exps).is_identity());
-        assert!(multiexp(&bases, &exps).is_identity());
-    }
-
-    #[test]
-    fn straus_single_small_exponent() {
-        let mut r = rng();
-        let b = MG::random(&mut r);
-        for e in 0..20u64 {
-            let exps = [S::from_u64(e)];
-            assert_eq!(straus_raw(&[b], &exps), naive(&[b], &exps));
-            assert_eq!(pippenger_raw(&[b], &exps), naive(&[b], &exps));
-        }
-    }
-
-    #[test]
-    fn engines_agree_across_widths() {
-        // ℓ grid from the issue: {1, 2, 3κ (κ=3 → 9), 64}, dense scalars.
-        let mut r = rng();
-        for n in [1usize, 2, 9, 64] {
-            let bases: Vec<MG> = (0..n).map(|_| MG::random(&mut r)).collect();
-            let exps: Vec<S> = (0..n).map(|_| S::random(&mut r)).collect();
-            let expect = naive(&bases, &exps);
-            assert_eq!(straus_raw(&bases, &exps), expect, "straus n={n}");
-            assert_eq!(pippenger_raw(&bases, &exps), expect, "pippenger n={n}");
-            assert_eq!(multiexp(&bases, &exps), expect, "dispatch n={n}");
-        }
-    }
-
-    #[test]
-    fn engines_agree_on_cofactor_points_with_saturated_exponents() {
-        // Scalars are canonical mod r, but curve elements need not have
-        // order r: cofactor-component points make every `exp mod r`
-        // implicitly "above" the element order. Saturated `r − 1`
-        // exponents additionally fill every window digit.
-        use crate::params::{FrToy, Toy};
-        let mut r = rng();
-        type FrT = FrToy;
-        for n in [1usize, 2, 9, 64] {
-            let mut bases: Vec<crate::G<Toy>> =
-                (0..n).map(|_| crate::G::random(&mut r)).collect();
-            bases[0] = crate::util::out_of_subgroup_point::<Toy>();
-            let exps: Vec<FrT> = (0..n)
-                .map(|i| match i % 3 {
-                    0 => -FrT::one(), // r − 1
-                    1 => FrT::zero(),
-                    _ => FrT::random(&mut r),
-                })
-                .collect();
-            let expect = naive(&bases, &exps);
-            assert_eq!(straus_raw(&bases, &exps), expect, "straus n={n}");
-            assert_eq!(pippenger_raw(&bases, &exps), expect, "pippenger n={n}");
-            assert_eq!(multiexp(&bases, &exps), expect, "dispatch n={n}");
-            // The curve group overrides product_of_powers with the wNAF
-            // engine — the cofactor/saturated shapes here are exactly the
-            // ones where signed tables can hit infinity entries.
-            assert_eq!(
-                crate::G::<Toy>::product_of_powers(&bases, &exps),
-                expect,
-                "wnaf n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn explicit_windows_all_agree() {
-        let mut r = rng();
-        let bases: Vec<MG> = (0..7).map(|_| MG::random(&mut r)).collect();
-        let exps: Vec<S> = (0..7).map(|_| S::random(&mut r)).collect();
-        let expect = naive(&bases, &exps);
-        let (limbs, max_bits) = canonical_exponents::<MG>(&exps);
-        let max_bits = max_bits.unwrap();
-        for w in 1..=8 {
-            assert_eq!(
-                straus_with_window(&bases, &limbs, max_bits, w),
-                expect,
-                "w={w}"
-            );
-        }
-    }
-
-    #[test]
-    fn cost_models_pick_sane_windows() {
-        // Few bases: Straus must not pay huge tables.
-        assert!(best_window(1, 10, straus_cost) <= 2);
-        // Wide batches push both engines to wider windows.
-        assert!(best_window(1500, 256, pippenger_cost) >= 6);
-        // Dispatcher prefers Pippenger for wide batches, Straus for narrow.
-        let (ns, nb) = (4usize, 256usize);
-        let ws = best_window(ns, nb, straus_cost);
-        let wp = best_window(ns, nb, pippenger_cost);
-        assert!(straus_cost(ns, nb, ws) <= pippenger_cost(ns, nb, wp));
-        let (ns, nb) = (1500usize, 256usize);
-        let ws = best_window(ns, nb, straus_cost);
-        let wp = best_window(ns, nb, pippenger_cost);
-        assert!(pippenger_cost(ns, nb, wp) < straus_cost(ns, nb, ws));
+    fn unit_costs_pick_sane_plans() {
+        // One short exponent: the smallest table.
+        assert_eq!(plan(1, 10, OpCosts::UNIT), Plan::Signed(2));
+        // Wide batches go to Pippenger at a wide window.
+        assert!(matches!(plan(1500, 256, OpCosts::UNIT), Plan::Pippenger(w) if w >= 6));
+        assert!(matches!(plan(4, 256, OpCosts::UNIT), Plan::Signed(_)));
     }
 }

@@ -15,6 +15,7 @@
 //! comparisons (footnote 3, device work split of §1.1).
 
 use crate::counters;
+use crate::multiexp::OpCosts;
 use core::fmt::Debug;
 use core::hash::Hash;
 use dlr_math::PrimeField;
@@ -41,6 +42,9 @@ pub trait Group:
     const NAME: &'static str;
     /// Counter family for instrumentation.
     const KIND: GroupKind;
+    /// Relative costs of this group's operations, which the exponentiation
+    /// planner ([`crate::multiexp::plan`]) weighs. Default: unit costs.
+    const OP_COSTS: OpCosts = OpCosts::UNIT;
 
     /// The neutral element.
     fn identity() -> Self;
@@ -61,8 +65,10 @@ pub trait Group:
     /// and the pairing evaluation slot consume directly, sharing the cost
     /// across the batch. Never changes which elements the slice holds;
     /// worth calling on elements that are kept and re-read (the per-period
-    /// `f` ciphertexts of `dlr-core`). Default: elements are already
-    /// canonical, nothing to do.
+    /// `f` ciphertexts of `dlr-core`). The exponentiation engine also runs
+    /// it once on each window table, so a group whose operation is cheaper
+    /// against a normalized operand gets that discount on every table
+    /// operation. Default: elements are already canonical, nothing to do.
     fn batch_normalize(_points: &mut [Self]) {}
     /// Sample a uniformly random element **without a known discrete
     /// logarithm** (the §5.2 remark requires sampling group elements
@@ -105,61 +111,13 @@ pub trait Group:
     }
 
     /// Exponentiation by a little-endian limb slice (uninstrumented; used
-    /// internally for subgroup checks, as the engine behind [`Self::pow`],
-    /// and as the reference the curve's cofactor-clearing ladder is tested
-    /// against).
-    ///
-    /// Sliding-window recoding over a table of odd powers
-    /// `self, self³, …, self^{2^w−1}`: the same number of doublings as the
-    /// binary chain but ~`nbits/(w+1)` general operations instead of
-    /// ~`nbits/2`, for `2^{w−1}` precomputed multiples. Correct for
+    /// internally for subgroup checks and as the engine behind
+    /// [`Self::pow`]): the one exponentiation engine
+    /// ([`crate::multiexp::product`]) with a single base. Correct for
     /// **arbitrary** slices, including values at or above the group order
-    /// (the subgroup check exponentiates by `r` itself, the cofactor
-    /// reference by `(p+1)/r`).
+    /// (the subgroup check exponentiates by `r` itself).
     fn pow_vartime_limbs(&self, exp: &[u64]) -> Self {
-        let nbits = dlr_math::limbs::bits_slice(exp);
-        if nbits == 0 {
-            return Self::identity();
-        }
-        // Width by exponent size: the odd-powers table costs 2^{w-1} ops,
-        // amortized only over long enough chains.
-        let w: u32 = match nbits {
-            0..=31 => 2,
-            32..=95 => 3,
-            96..=255 => 4,
-            _ => 5,
-        };
-        // table[i] = self^(2i+1)
-        let sq = self.raw_double();
-        let mut table = Vec::with_capacity(1usize << (w - 1));
-        table.push(*self);
-        for i in 1..(1usize << (w - 1)) {
-            let prev = table[i - 1];
-            table.push(prev.raw_op(&sq));
-        }
-        let bit = |k: u32| (exp[(k / 64) as usize] >> (k % 64)) & 1 == 1;
-        let mut acc = Self::identity();
-        let mut i = nbits as i64 - 1;
-        while i >= 0 {
-            if !bit(i as u32) {
-                acc = acc.raw_double();
-                i -= 1;
-                continue;
-            }
-            // Greedy window [j, i], ending at a set bit so the digit is odd.
-            let mut j = (i + 1 - w as i64).max(0);
-            while !bit(j as u32) {
-                j += 1;
-            }
-            let width = (i - j + 1) as usize;
-            let digit = dlr_math::limbs::window(exp, j as usize, width);
-            for _ in 0..width {
-                acc = acc.raw_double();
-            }
-            acc = acc.raw_op(&table[digit >> 1]);
-            i = j - 1;
-        }
-        acc
+        crate::multiexp::product(&[*self], &[exp])
     }
 
     /// `generator()^exp` — the fixed-base half of DLR encryption
@@ -219,10 +177,10 @@ pub trait Group:
         self.pow(&Self::Scalar::from_u64(e))
     }
 
-    /// `∏ basesᵢ^{expsᵢ}` — multi-exponentiation via the size-adaptive
-    /// dispatcher (see [`crate::multiexp`]): Pippenger bucket windows for
-    /// wide batches, shared-doubling Straus interleaving below the
-    /// crossover. Counted as `bases.len()` exponentiations.
+    /// `∏ basesᵢ^{expsᵢ}` — multi-exponentiation through the one engine
+    /// (see [`crate::multiexp`]): signed-window Straus, or Pippenger bucket
+    /// windows for wide batches, planned from [`Self::OP_COSTS`]. Counted
+    /// as `bases.len()` exponentiations.
     ///
     /// # Panics
     ///
@@ -235,7 +193,8 @@ pub trait Group:
                 _ => counters::count_g_pow(),
             }
         }
-        crate::multiexp::multiexp(bases, exps)
+        let limbs: Vec<Vec<u64>> = exps.iter().map(|e| e.to_canonical_limbs()).collect();
+        crate::multiexp::product(bases, &limbs)
     }
 }
 

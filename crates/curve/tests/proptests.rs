@@ -98,7 +98,7 @@ proptest! {
         let bases: Vec<G<Toy>> = seeds.iter().map(|&s| point(s)).collect();
         let exps: Vec<Fr> = seeds.iter().map(|&s| scalar(s)).collect();
         prop_assert_eq!(
-            multiexp::straus_raw(&bases, &exps),
+            G::product_of_powers(&bases, &exps),
             multiexp::naive(&bases, &exps)
         );
     }

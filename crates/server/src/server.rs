@@ -61,14 +61,13 @@
 //! parked), or the singleton fast-path (a tick ending with one parked
 //! request flushes immediately, so an idle server keeps inline latency).
 //! At flush, requests group by key id and each group executes under a
-//! **single** generation-lock acquisition through the shared-context
-//! batch path ([`dlr_core::driver::p2_handle_decrypt_batch`] over
-//! `dlr_curve::BatchDecryptCtx`), then replies fan back to each
-//! connection's encode stage. Per-request semantics — replies, error
-//! isolation, generation checks, operation counters, metric spans — are
-//! identical to the inline path by construction; only the shared
-//! per-key work (exponent recoding, engine dispatch, lock traffic, loop
-//! wakeups) is amortized. See DESIGN.md §5.
+//! **single** generation-lock acquisition through the batch path
+//! ([`dlr_core::driver::p2_handle_decrypt_batch`], which runs the inline
+//! respond per request), then replies fan back to each connection's
+//! encode stage. Per-request semantics — replies, error isolation,
+//! generation checks, operation counters, metric spans — are identical to
+//! the inline path by construction; only the lock traffic and loop
+//! wakeups are amortized. See DESIGN.md §5.
 //!
 //! ## Generation binding
 //!
@@ -1764,8 +1763,7 @@ fn dispatch<E: Pairing, R: rand::RngCore>(
 
 /// Execute one same-key group of parked decrypt requests: a single
 /// generation-lock acquisition covers the per-request binding checks and
-/// the shared-context batch respond
-/// ([`dlr_core::driver::p2_handle_decrypt_batch`]). Returns one reply per
+/// the batch respond ([`dlr_core::driver::p2_handle_decrypt_batch`]). Returns one reply per
 /// request in group order.
 ///
 /// Per-request semantics mirror [`dispatch`] exactly: a stale generation

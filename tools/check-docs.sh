@@ -21,9 +21,9 @@ done
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> cargo doc --document-private-items (dlr-math, dlr-curve, dlr-metrics, dlr-server)"
+echo "==> cargo doc --document-private-items (dlr-math, dlr-curve, dlr-core, dlr-bls12, dlr-metrics, dlr-server)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items \
-    -p dlr-math -p dlr-curve -p dlr-metrics -p dlr-server
+    -p dlr-math -p dlr-curve -p dlr-core -p dlr-bls12 -p dlr-metrics -p dlr-server
 
 echo "==> doctests"
 cargo test --workspace --doc
