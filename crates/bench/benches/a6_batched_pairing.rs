@@ -3,8 +3,10 @@
 //! Two comparisons on the decryption hot-path shape (`κ+1` second
 //! arguments per fixed `A`, ℓ-term pairing products):
 //!
-//! * `multi/prepared` vs `multi/direct` — cached Miller lines + batched
-//!   final exponentiation vs one full `tate_pairing` per element;
+//! * `multi/prepared` vs `multi/direct` — one prepared chain + batched
+//!   final exponentiation vs one `tate_pairing` per element, which
+//!   prepares the same chain again for every element and pays its own
+//!   final exponentiation;
 //! * `product/shared` vs `product/fold` — shared squaring chain and single
 //!   final exponentiation vs folding per-element pairings.
 

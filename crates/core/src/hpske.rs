@@ -257,7 +257,7 @@ fn coordinates<G: Group>(cts: &[HpskeCiphertext<G>]) -> Vec<G> {
 /// protocols of both `P1` layouts go through here, so the Miller chain of
 /// `A` is walked once per `dec_start` and all `n·(κ+1)` evaluations share
 /// one [`multi_pair_prepared`](Pairing::multi_pair_prepared) call (one
-/// batched final exponentiation, optional worker-thread fan-out).
+/// batched final exponentiation, on the calling thread).
 ///
 /// Ciphertexts that were [`normalize`]d when the period started are
 /// evaluated as stored; anything else pays one coordinate conversion per

@@ -137,7 +137,7 @@ impl<P: SsParams> G<P> {
     /// Mixed addition `self + rhs` for an **affine** `rhs` (`Z₂ = 1`, not
     /// infinity): madd-2007-bl, 7M + 4S against the 11M + 5S of
     /// [`Self::add_internal`], which dispatches here. The exponentiation
-    /// engine batch-normalizes its window tables once
+    /// engine and the fixed-base comb batch-normalize their tables once
     /// ([`Group::batch_normalize`]) to earn this discount on every table
     /// addition.
     fn add_mixed(&self, rhs: &Self) -> Self {

@@ -18,11 +18,13 @@
 //!   fixed-base exponentiations of DLR encryption (`g^t`, `z^t`), plus the
 //!   shareable lazy cell [`LazyFixedBase`];
 //! * [`gt`] — the target group [`Gt`] `⊂ F_{p²}*`;
-//! * [`pairing`] — affine Miller loop + final exponentiation, plus the
-//!   batched [`pairing::pairing_product`] (shared squaring chain, single
-//!   final exponentiation);
+//! * [`pairing`] — one Miller walker (Jacobian coordinates, two batched
+//!   inversions per chain) + final exponentiation, plus the batched
+//!   [`pairing::pairing_product`] (chains replayed under a shared squaring
+//!   chain, single final exponentiation) and the affine reference pairing;
 //! * [`prepared`] — [`PreparedPoint`]: cache the Miller line coefficients
-//!   of a fixed first argument and replay them per second argument;
+//!   of a fixed first argument and replay them per second argument (every
+//!   pairing is a prepare followed by a replay);
 //! * [`multiexp`] — the one exponentiation engine behind every `pow` and
 //!   `product_of_powers`: signed-window Straus, Pippenger bucket windows
 //!   past the planner's crossover;

@@ -7,24 +7,35 @@
 //! written for.
 //!
 //! Implementation notes:
-//! * the Miller loop runs in affine coordinates over `F_p` only — the
-//!   distorted point's x-coordinate `−x_Q` lies in the base field, so each
-//!   line evaluation is `(λ(x_Q + x_T) − y_T) + y_Q·i` with all arithmetic
-//!   in `F_p` (two `F_p` muls) and only the accumulator living in `F_{p²}`;
+//! * one Miller walker, `miller_chain`, serves every pairing: it walks
+//!   the doubling/addition chain of the first argument in Jacobian
+//!   coordinates over `F_p` and pays two batched inversions for the whole
+//!   chain, emitting the line coefficients `(λ, θ)` that
+//!   [`PreparedPoint`] caches. A pairing is a prepare followed by a
+//!   replay; [`tate_pairing`] is exactly that, and [`pairing_product`]
+//!   replays many chains in lockstep under one squaring per bit of `r`;
+//! * the distorted point's x-coordinate `−x_Q` lies in the base field, so
+//!   each line evaluation is `(λ·x_Q + θ) + y_Q·i` with all arithmetic in
+//!   `F_p` (one `F_p` mul) and only the accumulator living in `F_{p²}`;
 //! * vertical lines evaluate into `F_p*`, which the final exponentiation
 //!   `z ↦ z^{(p−1)·c}` kills (`z^{p−1} = 1` for `z ∈ F_p*`) — standard
 //!   denominator elimination;
 //! * the final exponentiation uses Frobenius: `z^{p−1} = z̄ · z^{−1}`,
-//!   then one `pow` by the cofactor `c = (p+1)/r`.
+//!   then one `pow` by the cofactor `c = (p+1)/r`;
+//! * [`tate_pairing_reference`] (an affine walker with one inversion per
+//!   step, plus the generic final exponentiation) is what tests compare
+//!   every entry point against.
 
 use crate::counters;
 use crate::curve::G;
 use crate::gt::Gt;
 use crate::params::SsParams;
+use crate::prepared::PreparedPoint;
 use crate::traits::{Group, Pairing};
+use dlr_math::limbs::{bits_slice, window};
 use dlr_math::{FieldElement, Fp2, PrimeField};
 
-/// Affine point (never infinity) used inside the Miller loop.
+/// Affine point (never infinity) used inside the Miller walkers.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Affine<F> {
     pub(crate) x: F,
@@ -68,213 +79,107 @@ impl<F: PrimeField> MillerOp<F> {
     }
 }
 
-/// Line coefficients for one doubling step, and `2T`.
-///
-/// `None` coefficients mean a vertical tangent (2-torsion `T`): the line
-/// evaluates into `F_p*`, which the final exponentiation kills
-/// (denominator elimination), so no accumulator work is emitted.
-fn double_coeffs<F: PrimeField>(t: Affine<F>) -> (Option<(F, F)>, Option<Affine<F>>) {
-    if t.y.is_zero() {
-        return (None, None);
-    }
-    let xx = t.x.square();
-    let three_x2_plus_1 = xx.double() + xx + F::one();
-    let lambda = three_x2_plus_1 * t.y.double().inverse().expect("y != 0");
-    let x3 = lambda.square() - t.x.double();
-    let y3 = lambda.mul_add(&(t.x - x3), &(-t.y));
-    // line through (T, T): λ·x_Q + (λ·x_T − y_T) is the F_p part at φ(Q)
-    let theta = lambda.mul_add(&t.x, &(-t.y));
-    (Some((lambda, theta)), Some(Affine { x: x3, y: y3 }))
+/// Jacobian doubling on `y² = x³ + x` (`a = 1`) of a point with `Y ≠ 0`:
+/// `M = 3X² + Z⁴`, `S = 4XY²`, `Z₃ = 2YZ`.
+fn jacobian_double<F: PrimeField>((x, y, z): (F, F, F)) -> (F, F, F) {
+    let xx = x.square();
+    let m = xx.double() + xx + z.square().square();
+    let yy = y.square();
+    let s = (x * yy).double().double();
+    let x3 = m.square() - s.double();
+    let y3 = m * (s - x3) - yy.square().double().double().double();
+    (x3, y3, (y * z).double())
 }
 
-/// Line coefficients for one addition step, and `T + P`.
-fn add_coeffs<F: PrimeField>(
-    t: Affine<F>,
-    p: Affine<F>,
-) -> (Option<(F, F)>, Option<Affine<F>>) {
-    if t.x == p.x {
-        if t.y == p.y {
-            return double_coeffs(t);
-        }
-        // T = −P: the chord is vertical — subfield factor only.
-        return (None, None);
-    }
-    let lambda = (p.y - t.y) * (p.x - t.x).inverse().expect("x1 != x2");
-    let x3 = lambda.square() - t.x - p.x;
-    let y3 = lambda.mul_add(&(t.x - x3), &(-t.y));
-    let theta = lambda.mul_add(&t.x, &(-t.y));
-    (Some((lambda, theta)), Some(Affine { x: x3, y: y3 }))
-}
-
-/// Walk the Miller doubling/addition chain of `p` over the bits of the
-/// subgroup order `r`, emitting every accumulator operation in order.
+/// Walk the Miller chain of `p` over the bits of the subgroup order `r`,
+/// returning every accumulator operation in order — the one production
+/// Miller walker.
 ///
-/// Both the direct [`miller_loop`] and
-/// [`PreparedPoint::prepare`](crate::prepared::PreparedPoint::prepare) are
-/// thin wrappers over this walker, so a prepared evaluation replays the
-/// *exact* operation sequence of a direct pairing by construction.
-pub(crate) fn miller_chain<P: SsParams>(
-    p: Affine<P::Fp>,
-    mut visit: impl FnMut(MillerOp<P::Fp>),
-) {
-    let r_limbs = crate::util::field_modulus_limbs::<P::Fr>();
-    let mut nbits = 0u32;
-    for (i, w) in r_limbs.iter().enumerate() {
-        if *w != 0 {
-            nbits = i as u32 * 64 + (64 - w.leading_zeros());
-        }
-    }
-
-    let mut t: Option<Affine<P::Fp>> = Some(p);
-    let mut i = nbits - 1;
-    while i > 0 {
-        i -= 1;
-        visit(MillerOp::Square);
-        if let Some(cur) = t {
-            let (coeffs, next) = double_coeffs(cur);
-            if let Some((lambda, theta)) = coeffs {
-                visit(MillerOp::Line { lambda, theta });
-            }
-            t = next;
-        }
-        if (r_limbs[(i / 64) as usize] >> (i % 64)) & 1 == 1 {
-            if let Some(cur) = t {
-                let (coeffs, next) = add_coeffs(cur, p);
-                if let Some((lambda, theta)) = coeffs {
-                    visit(MillerOp::Line { lambda, theta });
-                }
-                t = next;
-            } else {
-                // T was the point at infinity: O + P = P, trivial function.
-                t = Some(p);
-            }
-        }
-    }
-}
-
-/// Walk the Miller chain of `p` with **batched inversions**: the running
-/// point advances in Jacobian coordinates (no per-step inversion), then
-/// every intermediate is normalized and every slope denominator inverted
-/// with two [`dlr_math::batch_inverse`] calls — two field inversions total
-/// instead of one per doubling/addition step.
+/// The running point advances in Jacobian coordinates with no per-step
+/// inversion; then every logged intermediate is normalized and every slope
+/// denominator inverted with two [`dlr_math::batch_inverse`] calls. The
+/// normalized intermediates are canonical affine coordinates and every
+/// degeneracy (vertical tangent or chord → no line, running point to
+/// infinity; the final addition of any in-subgroup chain lands on
+/// `T = −P`) is taken case for case as the affine reference walker takes
+/// it, so the emitted `(λ, θ)` sequence is **bit-identical** to the
+/// reference's for every input.
 ///
-/// The normalized intermediates are canonical affine coordinates and every
-/// degeneracy of the reference walker (vertical tangent/chord → no line,
-/// running point to infinity — the final addition of any in-subgroup chain
-/// lands on `T = −P`) is mirrored case for case, so the emitted `(λ, θ)`
-/// sequence is **bit-identical** to [`miller_chain`]'s for every input.
-/// `None` is unreachable in practice (a logged step can never have a zero
-/// denominator) and only kept so callers retain the reference fallback.
-pub(crate) fn miller_chain_batched<P: SsParams>(
-    p: Affine<P::Fp>,
-) -> Option<Vec<MillerOp<P::Fp>>> {
-    let r_limbs = crate::util::field_modulus_limbs::<P::Fr>();
-    let mut nbits = 0u32;
-    for (i, w) in r_limbs.iter().enumerate() {
-        if *w != 0 {
-            nbits = i as u32 * 64 + (64 - w.leading_zeros());
-        }
-    }
-
+/// Every chain emits exactly one [`MillerOp::Square`] per bit of `r` below
+/// the top one, followed by that bit's lines.
+pub(crate) fn miller_chain<P: SsParams>(p: Affine<P::Fp>) -> Vec<MillerOp<P::Fp>> {
     /// What a chain slot multiplies into the accumulator: nothing (the
-    /// squaring is implicit per bit), a tangent line at the logged step, or
-    /// a chord line through the logged step and the base point.
+    /// squaring per bit), a tangent line at the next logged point, or a
+    /// chord line through the next logged point and the base point.
     enum Slot {
         Square,
-        Tangent(usize),
-        Chord(usize),
+        Tangent,
+        Chord,
     }
 
-    // Jacobian running point (x, y) = (X/Z², Y/Z³); `pre` logs the
-    // coordinates *before* each line-emitting op.
-    let (mut tx, mut ty, mut tz) = (p.x, p.y, P::Fp::one());
-    let mut infinity = false;
+    let r_limbs = crate::util::field_modulus_limbs::<P::Fr>();
+    let one = P::Fp::one();
+    // Jacobian running point (x, y) = (X/Z², Y/Z³), `None` at infinity;
+    // `pre` logs the coordinates *before* each line-emitting op.
+    let mut t = Some((p.x, p.y, one));
     let mut pre: Vec<(P::Fp, P::Fp, P::Fp)> = Vec::new();
     let mut slots: Vec<Slot> = Vec::new();
-    let mut i = nbits - 1;
-    while i > 0 {
-        i -= 1;
+    for i in (0..bits_slice(&r_limbs) as usize - 1).rev() {
         slots.push(Slot::Square);
-        if !infinity {
-            if ty.is_zero() {
+        if let Some(cur) = t {
+            if cur.1.is_zero() {
                 // Vertical tangent (2-torsion): subfield factor only, and
                 // the running point doubles to infinity.
-                infinity = true;
+                t = None;
             } else {
-                slots.push(Slot::Tangent(pre.len()));
-                pre.push((tx, ty, tz));
-                // Doubling on y² = x³ + x (a = 1): M = 3X² + Z⁴, S = 4XY².
-                let xx = tx.square();
-                let zz = tz.square();
-                let m = xx.double() + xx + zz.square();
-                let yy = ty.square();
-                let s = (tx * yy).double().double();
-                let x3 = m.square() - s.double();
-                let eight_y4 = yy.square().double().double().double();
-                let y3 = m * (s - x3) - eight_y4;
-                let z3 = (ty * tz).double();
-                tx = x3;
-                ty = y3;
-                tz = z3;
+                slots.push(Slot::Tangent);
+                pre.push(cur);
+                t = Some(jacobian_double(cur));
             }
         }
-        if (r_limbs[(i / 64) as usize] >> (i % 64)) & 1 == 1 {
-            if infinity {
+        if window(&r_limbs, i, 1) == 1 {
+            t = match t {
                 // O + P = P, trivial function.
-                tx = p.x;
-                ty = p.y;
-                tz = P::Fp::one();
-                infinity = false;
-            } else {
-                let zz = tz.square();
-                let u2 = p.x * zz;
-                if u2 == tx {
-                    // Same x-coordinate: either T = P (tangent case) or
-                    // T = −P (vertical chord — the final addition of every
-                    // in-subgroup chain).
+                None => Some((p.x, p.y, one)),
+                Some(cur @ (tx, ty, tz)) => {
+                    let zz = tz.square();
+                    let u2 = p.x * zz;
                     let s2 = p.y * zz * tz;
-                    if s2 == ty && !ty.is_zero() {
-                        slots.push(Slot::Tangent(pre.len()));
-                        pre.push((tx, ty, tz));
-                        let xx = tx.square();
-                        let m = xx.double() + xx + zz.square();
-                        let yy = ty.square();
-                        let s = (tx * yy).double().double();
-                        let x3 = m.square() - s.double();
-                        let eight_y4 = yy.square().double().double().double();
-                        let y3 = m * (s - x3) - eight_y4;
-                        let z3 = (ty * tz).double();
-                        tx = x3;
-                        ty = y3;
-                        tz = z3;
+                    if u2 != tx {
+                        slots.push(Slot::Chord);
+                        pre.push(cur);
+                        let h = u2 - tx;
+                        let r = s2 - ty;
+                        let hh = h.square();
+                        let hhh = h * hh;
+                        let v = tx * hh;
+                        let x3 = r.square() - hhh - v.double();
+                        let y3 = r * (v - x3) - ty * hhh;
+                        Some((x3, y3, tz * h))
+                    } else if s2 == ty && !ty.is_zero() {
+                        // T = P: the tangent case.
+                        slots.push(Slot::Tangent);
+                        pre.push(cur);
+                        Some(jacobian_double(cur))
                     } else {
-                        // Vertical chord (or 2-torsion tangent): no line,
-                        // running point to infinity.
-                        infinity = true;
+                        // T = −P (the final addition of every in-subgroup
+                        // chain) or 2-torsion T = P: vertical line, no
+                        // accumulator work, running point to infinity.
+                        None
                     }
-                } else {
-                    slots.push(Slot::Chord(pre.len()));
-                    pre.push((tx, ty, tz));
-                    let s2 = p.y * zz * tz;
-                    let h = u2 - tx;
-                    let r = s2 - ty;
-                    let hh = h.square();
-                    let hhh = h * hh;
-                    let v = tx * hh;
-                    let x3 = r.square() - hhh - v.double();
-                    let y3 = r * (v - x3) - ty * hhh;
-                    let z3 = tz * h;
-                    tx = x3;
-                    ty = y3;
-                    tz = z3;
                 }
-            }
+            };
         }
     }
 
-    // One batched inversion normalizes every logged point ...
+    // The walker cannot fail. Every logged Z is a product of nonzero
+    // factors — 1, then 2·Y with Y ≠ 0 for each doubling and
+    // H = x_P·Z² − X ≠ 0 for each chord, each checked by the branch that
+    // took the step (p is odd) — so the first batched inversion succeeds.
+    // Each slope denominator is nonzero by the branch that logged it:
+    // 2·y_T with y_T ≠ 0 for a tangent, x_P − x_T ≠ 0 for a chord.
     let zs: Vec<P::Fp> = pre.iter().map(|t| t.2).collect();
-    let zinv = dlr_math::batch_inverse(&zs)?;
+    let zinv = dlr_math::batch_inverse(&zs).expect("every logged Z is nonzero");
     let aff: Vec<Affine<P::Fp>> = pre
         .iter()
         .zip(&zinv)
@@ -286,49 +191,37 @@ pub(crate) fn miller_chain_batched<P: SsParams>(
             }
         })
         .collect();
-    // ... and a second one inverts every slope denominator.
-    let denoms: Vec<P::Fp> = slots
-        .iter()
-        .filter_map(|slot| match slot {
-            Slot::Square => None,
-            Slot::Tangent(k) => Some(aff[*k].y.double()),
-            Slot::Chord(k) => Some(p.x - aff[*k].x),
+    let lines = || slots.iter().filter(|slot| !matches!(slot, Slot::Square)).zip(&aff);
+    let denoms: Vec<P::Fp> = lines()
+        .map(|(kind, t)| match kind {
+            Slot::Tangent => t.y.double(),
+            _ => p.x - t.x,
         })
         .collect();
-    let dinv = dlr_math::batch_inverse(&denoms)?;
+    let dinv = dlr_math::batch_inverse(&denoms).expect("every slope denominator is nonzero");
 
-    let mut dinv_iter = dinv.into_iter();
-    let mut ops = Vec::with_capacity(slots.len());
-    for slot in &slots {
-        ops.push(match slot {
-            Slot::Square => MillerOp::Square,
-            Slot::Tangent(k) => {
-                let t = aff[*k];
-                let xx = t.x.square();
-                let lambda = (xx.double() + xx + P::Fp::one()) * dinv_iter.next()?;
-                MillerOp::Line {
-                    lambda,
-                    theta: lambda.mul_add(&t.x, &(-t.y)),
-                }
+    let mut pending = lines().zip(dinv);
+    slots
+        .iter()
+        .map(|slot| {
+            if matches!(slot, Slot::Square) {
+                return MillerOp::Square;
             }
-            Slot::Chord(k) => {
-                let t = aff[*k];
-                let lambda = (p.y - t.y) * dinv_iter.next()?;
-                MillerOp::Line {
-                    lambda,
-                    theta: lambda.mul_add(&t.x, &(-t.y)),
+            let ((kind, t), inv) = pending.next().expect("one inverse per line");
+            let numerator = match kind {
+                Slot::Tangent => {
+                    let xx = t.x.square();
+                    xx.double() + xx + one
                 }
+                _ => p.y - t.y,
+            };
+            let lambda = numerator * inv;
+            MillerOp::Line {
+                lambda,
+                theta: lambda.mul_add(&t.x, &(-t.y)),
             }
-        });
-    }
-    Some(ops)
-}
-
-/// Miller loop `f_{r,P}(φ(Q))` over the bits of the subgroup order `r`.
-fn miller_loop<P: SsParams>(p: Affine<P::Fp>, q: Affine<P::Fp>) -> Fp2<P::Fp> {
-    let mut f = Fp2::<P::Fp>::one();
-    miller_chain::<P>(p, |op| op.apply(&mut f, &q.x, &q.y));
-    f
+        })
+        .collect()
 }
 
 /// Reference final exponentiation `z ↦ z^{(p²−1)/r} = (z̄ / z)^c`: one
@@ -405,67 +298,40 @@ pub fn batch_final_exponentiation<P: SsParams>(zs: &[Fp2<P::Fp>]) -> Vec<Gt<P>> 
 /// The pairing product `∏ ê(P_i, Q_i)` with a **shared squaring chain and
 /// a single final exponentiation**.
 ///
-/// All constituent Miller loops follow the same `r`-bit schedule, so their
-/// accumulators can be fused: one `F_{p²}` squaring per bit serves every
+/// Each first argument is prepared (`miller_chain`), then the chains are
+/// replayed in lockstep into one accumulator: every chain emits exactly one
+/// `Square` per bit of `r`, so one `F_{p²}` squaring per bit serves every
 /// pair, and the final exponentiation (a homomorphism) is applied once to
 /// the fused product. Bumps the `pairings` counter once per constituent —
 /// the work performed is equivalent, just de-duplicated.
 ///
 /// Pairs with an identity slot contribute the identity factor. If a fused
 /// Miller value vanishes (only possible for inputs outside the order-`r`
-/// subgroup), the product falls back to per-element evaluation so the
-/// result always equals `∏ tate_pairing(P_i, Q_i)` exactly.
+/// subgroup), the product falls back to evaluating the prepared chains one
+/// by one, so the result always equals `∏ tate_pairing(P_i, Q_i)` exactly.
 pub fn pairing_product<P: SsParams>(pairs: &[(G<P>, G<P>)]) -> Gt<P> {
     for _ in pairs {
         counters::count_pairing();
     }
     // Pairs with an identity slot contribute e(·, O) = e(O, ·) = 1.
-    #[allow(clippy::type_complexity)]
-    let affine: Vec<(Affine<P::Fp>, Affine<P::Fp>)> = pairs
+    let live: Vec<_> = pairs
         .iter()
-        .filter_map(|(p, q)| match (p.to_affine(), q.to_affine()) {
-            (Some((px, py)), Some((qx, qy))) => {
-                Some((Affine { x: px, y: py }, Affine { x: qx, y: qy }))
-            }
-            _ => None,
+        .filter_map(|(p, q)| {
+            let q = q.to_affine()?;
+            (!p.is_identity()).then(|| (PreparedPoint::prepare(p), q))
         })
         .collect();
-    if affine.is_empty() {
+    if live.is_empty() {
         return Gt::identity();
     }
 
-    let r_limbs = crate::util::field_modulus_limbs::<P::Fr>();
-    let mut nbits = 0u32;
-    for (i, w) in r_limbs.iter().enumerate() {
-        if *w != 0 {
-            nbits = i as u32 * 64 + (64 - w.leading_zeros());
-        }
-    }
-
+    let mut segments: Vec<_> = live.iter().map(|(prep, _)| prep.lines_per_bit()).collect();
     let mut f = Fp2::<P::Fp>::one();
-    let mut ts: Vec<Option<Affine<P::Fp>>> = affine.iter().map(|(p, _)| Some(*p)).collect();
-    let mut i = nbits - 1;
-    while i > 0 {
-        i -= 1;
-        f = f.square(); // one squaring serves every constituent
-        for (k, (p, q)) in affine.iter().enumerate() {
-            if let Some(cur) = ts[k] {
-                let (coeffs, next) = double_coeffs(cur);
-                if let Some((lambda, theta)) = coeffs {
-                    (MillerOp::Line { lambda, theta }).apply(&mut f, &q.x, &q.y);
-                }
-                ts[k] = next;
-            }
-            if (r_limbs[(i / 64) as usize] >> (i % 64)) & 1 == 1 {
-                if let Some(cur) = ts[k] {
-                    let (coeffs, next) = add_coeffs(cur, *p);
-                    if let Some((lambda, theta)) = coeffs {
-                        (MillerOp::Line { lambda, theta }).apply(&mut f, &q.x, &q.y);
-                    }
-                    ts[k] = next;
-                } else {
-                    ts[k] = Some(*p);
-                }
+    for _ in 1..bits_slice(&crate::util::field_modulus_limbs::<P::Fr>()) {
+        f = f.square(); // one squaring serves every chain
+        for (chain, (_, (xq, yq))) in segments.iter_mut().zip(&live) {
+            for op in chain.next().expect("one segment per bit of r") {
+                op.apply(&mut f, xq, yq);
             }
         }
     }
@@ -473,8 +339,8 @@ pub fn pairing_product<P: SsParams>(pairs: &[(G<P>, G<P>)]) -> Gt<P> {
     if f.is_zero() {
         // Some constituent Miller value vanished (out-of-subgroup input):
         // recover exact per-element semantics. Pairings were counted above.
-        return affine.iter().fold(Gt::identity(), |acc, (p, q)| {
-            let fi = miller_loop::<P>(*p, *q);
+        return live.iter().fold(Gt::identity(), |acc, (prep, (xq, yq))| {
+            let fi = prep.miller_eval(xq, yq);
             if fi.is_zero() {
                 acc
             } else {
@@ -485,23 +351,99 @@ pub fn pairing_product<P: SsParams>(pairs: &[(G<P>, G<P>)]) -> Gt<P> {
     final_exponentiation::<P>(f)
 }
 
-/// The modified Tate pairing `ê : G × G → GT`.
+/// The modified Tate pairing `ê : G × G → GT`: prepare `p`, replay its
+/// chain against `q`. Bumps `pairings` once.
 pub fn tate_pairing<P: SsParams>(p: &G<P>, q: &G<P>) -> Gt<P> {
-    counters::count_pairing();
-    let (pa, qa) = match (p.to_affine(), q.to_affine()) {
-        (Some(pa), Some(qa)) => (pa, qa),
-        // e(O, ·) = e(·, O) = 1
-        _ => return Gt::identity(),
+    PreparedPoint::prepare(p).pair(q)
+}
+
+/// Line coefficients for one affine doubling step, and `2T`.
+///
+/// `None` coefficients mean a vertical tangent (2-torsion `T`): the line
+/// evaluates into `F_p*`, which the final exponentiation kills
+/// (denominator elimination), so no accumulator work is emitted.
+fn double_coeffs<F: PrimeField>(t: Affine<F>) -> (Option<(F, F)>, Option<Affine<F>>) {
+    if t.y.is_zero() {
+        return (None, None);
+    }
+    let xx = t.x.square();
+    let three_x2_plus_1 = xx.double() + xx + F::one();
+    let lambda = three_x2_plus_1 * t.y.double().inverse().expect("y != 0");
+    let x3 = lambda.square() - t.x.double();
+    let y3 = lambda.mul_add(&(t.x - x3), &(-t.y));
+    // line through (T, T): λ·x_Q + (λ·x_T − y_T) is the F_p part at φ(Q)
+    let theta = lambda.mul_add(&t.x, &(-t.y));
+    (Some((lambda, theta)), Some(Affine { x: x3, y: y3 }))
+}
+
+/// Line coefficients for one affine addition step, and `T + P`.
+fn add_coeffs<F: PrimeField>(
+    t: Affine<F>,
+    p: Affine<F>,
+) -> (Option<(F, F)>, Option<Affine<F>>) {
+    if t.x == p.x {
+        if t.y == p.y {
+            return double_coeffs(t);
+        }
+        // T = −P: the chord is vertical — subfield factor only.
+        return (None, None);
+    }
+    let lambda = (p.y - t.y) * (p.x - t.x).inverse().expect("x1 != x2");
+    let x3 = lambda.square() - t.x - p.x;
+    let y3 = lambda.mul_add(&(t.x - x3), &(-t.y));
+    let theta = lambda.mul_add(&t.x, &(-t.y));
+    (Some((lambda, theta)), Some(Affine { x: x3, y: y3 }))
+}
+
+/// Reference Miller walker: affine coordinates, one `F_p` inversion per
+/// doubling/addition step, emitting every accumulator operation in order.
+/// [`miller_chain`] must emit this exact sequence.
+pub(crate) fn miller_chain_reference<P: SsParams>(
+    p: Affine<P::Fp>,
+    mut visit: impl FnMut(MillerOp<P::Fp>),
+) {
+    let r_limbs = crate::util::field_modulus_limbs::<P::Fr>();
+    let mut t: Option<Affine<P::Fp>> = Some(p);
+    for i in (0..bits_slice(&r_limbs) as usize - 1).rev() {
+        visit(MillerOp::Square);
+        if let Some(cur) = t {
+            let (coeffs, next) = double_coeffs(cur);
+            if let Some((lambda, theta)) = coeffs {
+                visit(MillerOp::Line { lambda, theta });
+            }
+            t = next;
+        }
+        if window(&r_limbs, i, 1) == 1 {
+            if let Some(cur) = t {
+                let (coeffs, next) = add_coeffs(cur, p);
+                if let Some((lambda, theta)) = coeffs {
+                    visit(MillerOp::Line { lambda, theta });
+                }
+                t = next;
+            } else {
+                // T was the point at infinity: O + P = P, trivial function.
+                t = Some(p);
+            }
+        }
+    }
+}
+
+/// Reference pairing: the affine Miller walker (one `F_p` inversion per
+/// step) evaluated at `φ(q)`, then the generic final exponentiation
+/// `(z̄/z)^c` by binary powering. It shares only the line evaluation
+/// with the production path and bumps no counter; every pairing entry point
+/// must return its exact element (the identity when a slot is the identity
+/// or the Miller value vanishes).
+pub fn tate_pairing_reference<P: SsParams>(p: &G<P>, q: &G<P>) -> Gt<P> {
+    let (Some((x, y)), Some((xq, yq))) = (p.to_affine(), q.to_affine()) else {
+        return Gt::identity();
     };
-    let f = miller_loop::<P>(
-        Affine { x: pa.0, y: pa.1 },
-        Affine { x: qa.0, y: qa.1 },
-    );
+    let mut f = Fp2::<P::Fp>::one();
+    miller_chain_reference::<P>(Affine { x, y }, |op| op.apply(&mut f, &xq, &yq));
     if f.is_zero() {
-        // Can only happen for inputs outside the order-r subgroup.
         return Gt::identity();
     }
-    final_exponentiation::<P>(f)
+    final_exponentiation_reference::<P>(f)
 }
 
 impl<P: SsParams> Pairing for P {
@@ -565,6 +507,20 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(5)
+    }
+
+    /// The raw Miller value `f_{r,p}(φ(q))` of two non-identity points.
+    fn miller_value<P: SsParams>(p: &G<P>, q: &G<P>) -> Fp2<P::Fp> {
+        let (xq, yq) = q.to_affine().expect("not the identity");
+        PreparedPoint::prepare(p).miller_eval(&xq, &yq)
+    }
+
+    /// The reference walker's ops for `p`.
+    fn reference_chain<P: SsParams>(p: &G<P>) -> Vec<MillerOp<P::Fp>> {
+        let (x, y) = p.to_affine().expect("not the identity");
+        let mut ops = Vec::new();
+        miller_chain_reference::<P>(Affine { x, y }, |op| ops.push(op));
+        ops
     }
 
     #[test]
@@ -650,7 +606,7 @@ mod tests {
     fn product_reference(pairs: &[(G<Toy>, G<Toy>)]) -> Gt<Toy> {
         pairs
             .iter()
-            .fold(Gt::identity(), |acc, (p, q)| acc.raw_op(&tate_pairing::<Toy>(p, q)))
+            .fold(Gt::identity(), |acc, (p, q)| acc.raw_op(&tate_pairing_reference::<Toy>(p, q)))
     }
 
     #[test]
@@ -709,17 +665,12 @@ mod tests {
     #[test]
     fn batch_final_exponentiation_matches_single() {
         let mut r = rng();
-        let g = G::<Toy>::generator();
         // Miller values of real pairings plus a zero sentinel.
         let mut zs = Vec::new();
         for _ in 0..5 {
             let p = G::<Toy>::random(&mut r);
             let q = G::<Toy>::random(&mut r);
-            let (pa, qa) = (p.to_affine().unwrap(), q.to_affine().unwrap());
-            zs.push(miller_loop::<Toy>(
-                Affine { x: pa.0, y: pa.1 },
-                Affine { x: qa.0, y: qa.1 },
-            ));
+            zs.push(miller_value(&p, &q));
         }
         zs.push(Fp2::zero());
         let batched = batch_final_exponentiation::<Toy>(&zs);
@@ -730,7 +681,6 @@ mod tests {
                 assert_eq!(*e, final_exponentiation::<Toy>(*z));
             }
         }
-        let _ = g;
     }
 
     #[test]
@@ -750,8 +700,7 @@ mod tests {
         let oos = crate::util::out_of_subgroup_point::<Toy>();
         let p = G::<Toy>::random(&mut r);
         for (a, b) in [(oos, p), (p, oos), (oos, oos)] {
-            let (a, b) = (a.to_affine().unwrap(), b.to_affine().unwrap());
-            let z = miller_loop::<Toy>(Affine { x: a.0, y: a.1 }, Affine { x: b.0, y: b.1 });
+            let z = miller_value(&a, &b);
             if !z.is_zero() {
                 zs.push(z);
             }
@@ -778,30 +727,32 @@ mod tests {
 
     #[test]
     fn batched_chain_walker_is_bit_identical() {
+        // Random subgroup points, the generator, −P, and first arguments
+        // outside the subgroup that take the degenerate branches: the
+        // 2-torsion point (0, 0) (vertical tangent at the first step), an
+        // uncleared point, and [r]H (order dividing the cofactor).
         let mut r = rng();
-        for _ in 0..6 {
-            let p = G::<Toy>::random(&mut r);
-            let (x, y) = p.to_affine().unwrap();
-            let a = Affine { x, y };
-            let mut reference = Vec::new();
-            miller_chain::<Toy>(a, |op| reference.push(op));
-            let batched = miller_chain_batched::<Toy>(a).expect("subgroup point");
-            assert_eq!(batched, reference);
-        }
-        // Out-of-subgroup point: exercises the vertical/degenerate paths.
+        let zero = <Toy as SsParams>::Fp::zero();
         let oos = crate::util::out_of_subgroup_point::<Toy>();
-        let (x, y) = oos.to_affine().unwrap();
-        let a = Affine { x, y };
-        let mut reference = Vec::new();
-        miller_chain::<Toy>(a, |op| reference.push(op));
-        assert_eq!(miller_chain_batched::<Toy>(a).unwrap(), reference);
+        let r_limbs = crate::util::field_modulus_limbs::<<Toy as SsParams>::Fr>();
+        let p = G::<Toy>::random(&mut r);
+        let mut points = vec![
+            G::<Toy>::generator(),
+            p,
+            p.inverse(),
+            G::<Toy>::from_affine(zero, zero).expect("(0, 0) is on the curve"),
+            oos,
+            oos.pow_vartime_limbs(&r_limbs),
+        ];
+        points.extend((0..4).map(|_| G::<Toy>::random(&mut r)));
+        for p in points.iter().filter(|p| !p.is_identity()) {
+            let (x, y) = p.to_affine().unwrap();
+            assert_eq!(miller_chain::<Toy>(Affine { x, y }), reference_chain(p), "{p:?}");
+        }
         // SS512 once (slow chain, still exact).
         let g = G::<Ss512>::generator();
         let (x, y) = g.to_affine().unwrap();
-        let a = Affine { x, y };
-        let mut reference = Vec::new();
-        miller_chain::<Ss512>(a, |op| reference.push(op));
-        assert_eq!(miller_chain_batched::<Ss512>(a).unwrap(), reference);
+        assert_eq!(miller_chain::<Ss512>(Affine { x, y }), reference_chain(&g));
     }
 
     // Manual micro-benchmark over the arithmetic stack (field, tower,
@@ -881,10 +832,10 @@ mod tests {
             });
             let (x, y) = p.to_affine().unwrap();
             let a = Affine { x, y };
-            let prep_batched = best_of(|| {
+            let prep = best_of(|| {
                 let t = Instant::now();
                 for _ in 0..iters {
-                    std::hint::black_box(miller_chain_batched::<P>(a));
+                    std::hint::black_box(PreparedPoint::prepare(&p));
                 }
                 t.elapsed().as_nanos() as u64 / iters as u64
             });
@@ -892,21 +843,28 @@ mod tests {
                 let t = Instant::now();
                 for _ in 0..iters {
                     let mut ops = Vec::new();
-                    miller_chain::<P>(a, |op| ops.push(op));
+                    miller_chain_reference::<P>(a, |op| ops.push(op));
                     std::hint::black_box(ops);
                 }
                 t.elapsed().as_nanos() as u64 / iters as u64
             });
-            let prep = P::prepare_q(&q);
+            let pair_ref = best_of(|| {
+                let t = Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(tate_pairing_reference::<P>(&p, &q));
+                }
+                t.elapsed().as_nanos() as u64 / iters as u64
+            });
+            let prepared = P::prepare_q(&q);
             let eval = best_of(|| {
                 let t = Instant::now();
                 for _ in 0..iters {
-                    std::hint::black_box(P::pair_prepared_q(&p, &prep));
+                    std::hint::black_box(P::pair_prepared_q(&p, &prepared));
                 }
                 t.elapsed().as_nanos() as u64 / iters as u64
             });
             eprintln!(
-                "{label}: pair={pair_ns}ns eval-prepared={eval}ns | prepare batched={prep_batched}ns reference={prep_ref}ns"
+                "{label}: pair={pair_ns}ns reference={pair_ref}ns eval-prepared={eval}ns | prepare={prep}ns reference chain={prep_ref}ns"
             );
         }
 
@@ -1030,7 +988,8 @@ mod tests {
         let q = G::<Ss512>::random(&mut r);
         let pairs = [(g, q), (q, g)];
         let prod = crate::pairing::pairing_product::<Ss512>(&pairs);
-        let expect = tate_pairing::<Ss512>(&g, &q).raw_op(&tate_pairing::<Ss512>(&q, &g));
+        let expect = tate_pairing_reference::<Ss512>(&g, &q)
+            .raw_op(&tate_pairing_reference::<Ss512>(&q, &g));
         assert_eq!(prod, expect);
     }
 
@@ -1045,12 +1004,12 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
-            /// Prepared evaluation is bit-identical to the direct pairing.
+            /// Prepared evaluation is bit-identical to the reference.
             #[test]
-            fn prepared_equals_direct(sp in any::<u64>(), sq in any::<u64>()) {
+            fn prepared_equals_reference(sp in any::<u64>(), sq in any::<u64>()) {
                 let (p, q) = (point(sp), point(sq));
-                let prep = crate::prepared::PreparedPoint::<Toy>::prepare(&p);
-                prop_assert_eq!(prep.pair(&q), tate_pairing::<Toy>(&p, &q));
+                let prep = PreparedPoint::<Toy>::prepare(&p);
+                prop_assert_eq!(prep.pair(&q), tate_pairing_reference::<Toy>(&p, &q));
             }
 
             /// The Lucas-ladder cofactor power is bit-identical to the
@@ -1085,14 +1044,14 @@ mod tests {
                 prop_assert_eq!(pairing_product::<Toy>(&pairs), product_reference(&pairs));
             }
 
-            /// multi_pairing equals mapping tate_pairing.
+            /// `multi_pair` equals mapping the reference.
             #[test]
             fn multi_equals_map(sp in any::<u64>(), qs in proptest::collection::vec(any::<u64>(), 0..6)) {
                 let p = point(sp);
                 let qs: Vec<G<Toy>> = qs.iter().map(|s| point(*s)).collect();
-                let batched = crate::prepared::multi_pairing::<Toy>(&p, &qs);
+                let batched = Toy::multi_pair(&p, &qs);
                 for (q, e) in qs.iter().zip(&batched) {
-                    prop_assert_eq!(*e, tate_pairing::<Toy>(&p, q));
+                    prop_assert_eq!(*e, tate_pairing_reference::<Toy>(&p, q));
                 }
             }
         }

@@ -3,21 +3,23 @@
 //! On the decryption hot path of the DLR scheme (Πss / HPSKE `dec_start`),
 //! the ciphertext component `A = g^a` is paired against `κ+1` key
 //! coordinates *per ℓ-element ciphertext vector* — every one of those
-//! pairings re-walks the identical doubling/addition chain of `A`. A
-//! [`PreparedPoint`] walks the chain **once** (via
-//! [`miller_chain`](crate::pairing)) and caches the per-step line
-//! coefficients `(λ, θ)`; each subsequent evaluation against a second
-//! argument `Q` replays the cached ops, costing one `F_p` multiplication
-//! plus the `F_{p²}` accumulator update per line — all `F_p` inversions
-//! (one per tangent/chord slope) are gone.
+//! pairings would re-walk the identical doubling/addition chain of `A`. A
+//! [`PreparedPoint`] walks the chain **once** (via the one Miller walker,
+//! [`miller_chain`](crate::pairing), in Jacobian coordinates with two
+//! batched inversions for the whole chain) and caches the per-step line
+//! coefficients `(λ, θ)`; each evaluation against a second argument `Q`
+//! replays the cached ops, costing one `F_p` multiplication plus the
+//! `F_{p²}` accumulator update per line and no inversion.
 //!
-//! Because the cached sequence *is* the sequence the direct
-//! [`tate_pairing`](crate::pairing::tate_pairing) walks, a prepared
-//! evaluation is bit-for-bit equal to the direct pairing for **any** `Q`,
-//! including the identity and points outside the order-`r` subgroup.
+//! Every SS pairing is a prepare followed by a replay:
+//! [`tate_pairing`](crate::pairing::tate_pairing) is
+//! `PreparedPoint::prepare(p).pair(q)`, so a prepared evaluation equals the
+//! direct pairing for **any** `Q`, including the identity and points
+//! outside the order-`r` subgroup.
 //!
-//! [`PreparedPoint::multi_pairing`] additionally batches the final
-//! exponentiations (one shared `F_{p²}` inversion via Montgomery's trick).
+//! [`PreparedPoint::multi_pairing`] and [`multi_pairing_many`] additionally
+//! batch the final exponentiations (one shared `F_p` inversion via
+//! Montgomery's trick).
 //!
 //! ## Counter semantics
 //!
@@ -40,47 +42,31 @@ use dlr_math::{FieldElement, Fp2};
 /// preparation can be shared across threads.
 #[derive(Clone, Debug)]
 pub struct PreparedPoint<P: SsParams> {
-    /// The cached accumulator ops, in chain order.
+    /// The cached accumulator ops, in chain order. Empty exactly for the
+    /// point at infinity (every other chain has one `Square` per bit of
+    /// `r`), against which every pairing is trivial.
     ops: Vec<MillerOp<P::Fp>>,
-    /// `P` was the point at infinity: every pairing against it is trivial.
-    infinity: bool,
 }
 
 impl<P: SsParams> PreparedPoint<P> {
     /// Walk the Miller chain of `p` once and cache its line coefficients.
     ///
-    /// Uses the batched-inversion walker
-    /// ([`miller_chain_batched`](crate::pairing)): the chain advances in
-    /// Jacobian coordinates and pays **two** field inversions total instead
-    /// of one per step, emitting the bit-identical `(λ, θ)` sequence. Points
-    /// that hit a chain degeneracy (only possible outside the odd-order
-    /// subgroup) fall back to the reference affine walker. Performs no
-    /// `F_{p²}` accumulator work and bumps no counter — the pairing count
-    /// is charged per evaluation, not per preparation.
+    /// The chain advances in Jacobian coordinates and pays **two** field
+    /// inversions total, emitting the same `(λ, θ)` sequence as the affine
+    /// reference walker for every point, in the subgroup or not. Performs
+    /// no `F_{p²}` accumulator work and bumps no counter — the pairing
+    /// count is charged per evaluation, not per preparation.
     pub fn prepare(p: &G<P>) -> Self {
-        match p.to_affine() {
-            Some((x, y)) => {
-                let a = Affine { x, y };
-                let ops = crate::pairing::miller_chain_batched::<P>(a).unwrap_or_else(|| {
-                    let mut ops = Vec::new();
-                    miller_chain::<P>(a, |op| ops.push(op));
-                    ops
-                });
-                PreparedPoint {
-                    ops,
-                    infinity: false,
-                }
-            }
-            None => PreparedPoint {
-                ops: Vec::new(),
-                infinity: true,
-            },
-        }
+        let ops = match p.to_affine() {
+            Some((x, y)) => miller_chain::<P>(Affine { x, y }),
+            None => Vec::new(),
+        };
+        PreparedPoint { ops }
     }
 
     /// Replay the cached chain against `(x_q, y_q)`, returning the raw
     /// Miller value (zero only for out-of-subgroup `q`).
-    fn miller_eval(&self, xq: &P::Fp, yq: &P::Fp) -> Fp2<P::Fp> {
+    pub(crate) fn miller_eval(&self, xq: &P::Fp, yq: &P::Fp) -> Fp2<P::Fp> {
         let mut f = Fp2::<P::Fp>::one();
         for op in &self.ops {
             op.apply(&mut f, xq, yq);
@@ -88,19 +74,27 @@ impl<P: SsParams> PreparedPoint<P> {
         f
     }
 
+    /// The chain's line ops grouped by bit of `r`, top bit first. Every
+    /// chain emits exactly one `Square` per bit, then that bit's lines, so
+    /// the chains of different points line up segment for segment; that
+    /// is how [`pairing_product`](crate::pairing::pairing_product) replays
+    /// them in lockstep under one shared squaring per bit.
+    pub(crate) fn lines_per_bit(&self) -> impl Iterator<Item = &[MillerOp<P::Fp>]> {
+        self.ops.split(|op| *op == MillerOp::Square).skip(1)
+    }
+
     /// Raw Miller value for `q`, with the zero sentinel for identity slots
     /// (mapped to the identity by
-    /// [`crate::pairing::batch_final_exponentiation`]).
+    /// [`crate::pairing::batch_final_exponentiation`]). Bumps `pairings`.
     fn miller_or_sentinel(&self, q: &G<P>) -> Fp2<P::Fp> {
         counters::count_pairing();
-        match (self.infinity, q.to_affine()) {
-            (false, Some((xq, yq))) => self.miller_eval(&xq, &yq),
+        match q.to_affine() {
+            Some((xq, yq)) if !self.ops.is_empty() => self.miller_eval(&xq, &yq),
             _ => Fp2::zero(),
         }
     }
 
-    /// `ê(P, q)` via the cached chain — equals
-    /// [`tate_pairing`](crate::pairing::tate_pairing)`(P, q)` exactly.
+    /// `ê(P, q)` via the cached chain.
     pub fn pair(&self, q: &G<P>) -> Gt<P> {
         let f = self.miller_or_sentinel(q);
         if f.is_zero() {
@@ -112,15 +106,17 @@ impl<P: SsParams> PreparedPoint<P> {
     /// `[ê(P, q) for q in qs]` with one cached Miller chain and batched
     /// final exponentiation. Bumps `pairings` once per element of `qs`.
     pub fn multi_pairing(&self, qs: &[G<P>]) -> Vec<Gt<P>> {
-        let millers: Vec<Fp2<P::Fp>> =
-            qs.iter().map(|q| self.miller_or_sentinel(q)).collect();
-        batch_final_exponentiation::<P>(&millers)
+        pair_batch(qs.iter().map(|q| (self, q)))
     }
 }
 
-/// Convenience: prepare `p` once and evaluate against every `q`.
-pub fn multi_pairing<P: SsParams>(p: &G<P>, qs: &[G<P>]) -> Vec<Gt<P>> {
-    PreparedPoint::<P>::prepare(p).multi_pairing(qs)
+/// Evaluate each `(chain, q)` job and map the Miller values into `GT`
+/// under one batched final exponentiation. Bumps `pairings` once per job.
+fn pair_batch<'a, P: SsParams>(
+    jobs: impl Iterator<Item = (&'a PreparedPoint<P>, &'a G<P>)>,
+) -> Vec<Gt<P>> {
+    let millers: Vec<Fp2<P::Fp>> = jobs.map(|(prep, q)| prep.miller_or_sentinel(q)).collect();
+    batch_final_exponentiation::<P>(&millers)
 }
 
 /// An `Arc`-shared, lazily-built batch of prepared second-slot pairing
@@ -205,14 +201,14 @@ impl<E: crate::traits::Pairing> core::hash::Hash for LazyPreparedBatch<E> {
 /// fresh ciphertext component slots in as `q` (by pairing symmetry on the
 /// Type-1 map). Bumps `pairings` once per cached chain.
 pub fn multi_pairing_many<P: SsParams>(preps: &[PreparedPoint<P>], q: &G<P>) -> Vec<Gt<P>> {
-    let millers: Vec<Fp2<P::Fp>> = preps.iter().map(|p| p.miller_or_sentinel(q)).collect();
-    batch_final_exponentiation::<P>(&millers)
+    pair_batch(preps.iter().map(|prep| (prep, q)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pairing::tate_pairing;
+    use crate::pairing::tate_pairing_reference;
+    use crate::traits::Pairing;
     use crate::params::{Ss512, Toy};
     use rand::SeedableRng;
 
@@ -221,13 +217,13 @@ mod tests {
     }
 
     #[test]
-    fn prepared_matches_direct_toy() {
+    fn prepared_matches_reference_toy() {
         let mut r = rng();
         for _ in 0..8 {
             let p = G::<Toy>::random(&mut r);
             let q = G::<Toy>::random(&mut r);
             let prep = PreparedPoint::<Toy>::prepare(&p);
-            assert_eq!(prep.pair(&q), tate_pairing::<Toy>(&p, &q));
+            assert_eq!(prep.pair(&q), tate_pairing_reference::<Toy>(&p, &q));
         }
     }
 
@@ -250,9 +246,9 @@ mod tests {
         let mut r = rng();
         let p = G::<Toy>::random(&mut r);
         let qs: Vec<G<Toy>> = (0..9).map(|_| G::<Toy>::random(&mut r)).collect();
-        let batched = multi_pairing::<Toy>(&p, &qs);
+        let batched = Toy::multi_pair(&p, &qs);
         for (q, e) in qs.iter().zip(&batched) {
-            assert_eq!(*e, tate_pairing::<Toy>(&p, q));
+            assert_eq!(*e, tate_pairing_reference::<Toy>(&p, q));
         }
     }
 
@@ -268,19 +264,19 @@ mod tests {
     }
 
     #[test]
-    fn prepared_matches_direct_out_of_subgroup() {
+    fn prepared_matches_reference_out_of_subgroup() {
         let mut r = rng();
         let oos = crate::util::out_of_subgroup_point::<Toy>();
         let p = G::<Toy>::random(&mut r);
         // Both slots: prepared equality must hold for ANY second argument,
         // and preparing a non-subgroup point must match too.
         let prep_p = PreparedPoint::<Toy>::prepare(&p);
-        assert_eq!(prep_p.pair(&oos), tate_pairing::<Toy>(&p, &oos));
+        assert_eq!(prep_p.pair(&oos), tate_pairing_reference::<Toy>(&p, &oos));
         let prep_oos = PreparedPoint::<Toy>::prepare(&oos);
-        assert_eq!(prep_oos.pair(&p), tate_pairing::<Toy>(&oos, &p));
+        assert_eq!(prep_oos.pair(&p), tate_pairing_reference::<Toy>(&oos, &p));
         let batched = prep_oos.multi_pairing(&[p, oos]);
-        assert_eq!(batched[0], tate_pairing::<Toy>(&oos, &p));
-        assert_eq!(batched[1], tate_pairing::<Toy>(&oos, &oos));
+        assert_eq!(batched[0], tate_pairing_reference::<Toy>(&oos, &p));
+        assert_eq!(batched[1], tate_pairing_reference::<Toy>(&oos, &oos));
     }
 
     #[test]
@@ -289,9 +285,9 @@ mod tests {
         let g = G::<Ss512>::generator();
         let q = G::<Ss512>::random(&mut r);
         let prep = PreparedPoint::<Ss512>::prepare(&g);
-        assert_eq!(prep.pair(&q), tate_pairing::<Ss512>(&g, &q));
+        assert_eq!(prep.pair(&q), tate_pairing_reference::<Ss512>(&g, &q));
         let batched = prep.multi_pairing(&[q, g]);
-        assert_eq!(batched[0], tate_pairing::<Ss512>(&g, &q));
-        assert_eq!(batched[1], tate_pairing::<Ss512>(&g, &g));
+        assert_eq!(batched[0], tate_pairing_reference::<Ss512>(&g, &q));
+        assert_eq!(batched[1], tate_pairing_reference::<Ss512>(&g, &g));
     }
 }
